@@ -9,12 +9,17 @@ Pure equilibria are checked for soundness and completeness. Mixed equilibria
 are checked for soundness only: support enumeration is known to miss extreme
 equilibria on degenerate games, and that gap must stay visible in the digests
 rather than fail the run.
+
+`in_general_position` and `pure_nash` also decide which random draws the
+corpora keep (see `workloads`).
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -103,6 +108,44 @@ def dominance(u1: Matrix, u2: Matrix) -> set[tuple[int, int, int, str]]:
                 elif all(y >= x for x, y in zip(va, vb)) and va != vb:
                     facts.add((player, a, b, "weak"))
     return facts
+
+
+def _singular(m: list[list[int]]) -> bool:
+    """Whether a square integer matrix is singular, by fraction-free (Bareiss) elimination."""
+    m = [list(row) for row in m]
+    n, prev = len(m), 1
+    for c in range(n - 1):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return True
+        m[c], m[pivot] = m[pivot], m[c]
+        for r in range(c + 1, n):
+            for k in range(c + 1, n):
+                m[r][k] = (m[r][k] * m[c][c] - m[r][c] * m[c][k]) // prev
+        prev = m[c][c]
+    return m[-1][-1] == 0
+
+
+def in_general_position(u1: Matrix, u2: Matrix) -> bool:
+    """No mixed strategy on k pure strategies makes k+1 opponent strategies pay the same.
+
+    That is, for every set S of k strategies of one player and T of k + 1 of
+    the other, the matrix [U_TS | 1] of T's owner's payoffs is nonsingular.
+    Such a game is nondegenerate, and more: every equilibrium has supports of
+    equal size whose indifference systems have unique solutions, so support
+    enumeration finds every equilibrium. A tie in one player's payoffs against
+    a pure strategy is the case k = 1.
+    """
+    for u in (u1, tuple(zip(*u2))):  # rows: the owner's strategies
+        scale = lcm(*(v.denominator for row in u for v in row))
+        ints = [[int(v * scale) for v in row] for row in u]
+        own, other = len(ints), len(ints[0])
+        for k in range(1, min(own - 1, other) + 1):
+            for s in combinations(range(other), k):
+                for t in combinations(range(own), k + 1):
+                    if _singular([[ints[i][j] for j in s] + [1] for i in t]):
+                        return False
+    return True
 
 
 def mixed_problems(u1: Matrix, u2: Matrix, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[str]:

@@ -247,6 +247,8 @@ def corpus_summary(items: list, payloads: dict) -> dict:
     return {
         "ops_per_pass": len(items),
         "classes": dict(sorted(classes.items())),
+        # Random draws the corpus left out because analyze could raise on them.
+        "rejected_draws": sum(getattr(item, "rejected", 0) for item in items),
         "degenerate_share": sum(flags) / len(flags) if flags else None,
     }
 

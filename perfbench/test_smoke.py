@@ -16,6 +16,7 @@ import pytest
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
+import checker  # noqa: E402
 import run  # noqa: E402
 
 SPEC = json.loads((HERE.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -25,6 +26,18 @@ def test_benchmark_json_names_what_the_benchmark_reports():
     assert [w["name"] for w in SPEC["workloads"]] == list(run.WORKLOADS)
     assert {m["name"]: m["unit"] for m in SPEC["end_to_end"]} == run.END_TO_END
     assert {m["name"]: m["unit"] for m in SPEC["per_layer"]} == run.PER_LAYER
+
+
+def test_general_position_rejects_ties_and_affine_dependence():
+    generic = checker.matrix([[3, 1], [0, 2]])
+    assert checker.in_general_position(generic, generic)
+    # Player 2 ties in row 1: k = 1.
+    assert not checker.in_general_position(generic, checker.matrix([[1, 1], [0, 2]]))
+    # Rows 1-3 of player 1 are collinear on columns 1 and 2, with no tie: k = 2.
+    collinear = checker.matrix([[0, 0, 5], [1, 1, 3], [2, 2, 7]])
+    distinct = checker.matrix([[1, 2, 3], [5, 6, 4], [9, 7, 8]])
+    assert checker.in_general_position(distinct, distinct)
+    assert not checker.in_general_position(collinear, distinct)
 
 
 @pytest.mark.parametrize("trace", [False, True], ids=["end_to_end", "per_layer"])

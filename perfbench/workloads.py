@@ -53,6 +53,16 @@ SRC = ROOT / "src"
 # they put p50 near the middle of the 3x3 class and p90 inside the
 # 4x4/2x6/3x5 band, away from the boundaries between classes.
 # 7x7 is left out: at about 6 s a game, one game would decide the run.
+#
+# Random draws are kept only where support enumeration is known to be
+# complete enough that `analyze` cannot raise NoEquilibriumFoundError, so that
+# no op fails on the known completeness gap (an op that raises fails):
+# solve-generic keeps games in general position (`checker.in_general_position`,
+# nondegenerate, every equilibrium found), solve-degenerate keeps games with a
+# pure equilibrium (always found as a pair of one-strategy supports; its mixed
+# equilibria may still be missed, which the digest shows). The gap left out:
+# enumeration finds no equilibrium at all on about 1 in 10^4 3x3 draws from
+# {-1, 0, 1} and from [-99, 99], each of them degenerate.
 GENERIC_SHAPES = {(2, 2): 114, (3, 3): 211, (4, 4): 30, (2, 6): 24, (3, 5): 20, (6, 3): 12, (5, 5): 6, (6, 6): 1}
 GENERIC_PD_GAMES = 6
 DEGENERATE_SHAPES = {(2, 2): 120, (3, 3): 200, (4, 4): 60, (5, 5): 10}
@@ -67,6 +77,7 @@ GPD_TRIPS = 24
 SEMANTICS = ("mixture", "pessimistic", "optimistic")
 
 Span = Callable[[str], object]
+Keep = Callable[[checker.Matrix, checker.Matrix], bool]
 
 
 class NonzeroExit(RuntimeError):
@@ -124,6 +135,7 @@ class SolveItem:
     u1: checker.Matrix
     u2: checker.Matrix
     fmt: str = "table"
+    rejected: int = 0  # draws `_draw_game` rejected before this game
     text: str = field(init=False)
 
     def __post_init__(self) -> None:
@@ -152,18 +164,24 @@ class SolveItem:
         return found
 
 
-def _random_games(rng: Random, shapes: dict, values: range, small: bool) -> list[SolveItem]:
+def _draw_game(rng: Random, rows: int, cols: int, values: range, keep: Keep) -> tuple[checker.Matrix, checker.Matrix, int]:
+    """Payoff matrices drawn from `values` until `keep` accepts them, and the number of draws it rejected."""
+    rejected = 0
+    while True:
+        u1, u2 = (_matrix(rng, rows, cols, lambda: rng.choice(values)) for _ in range(2))
+        if keep(u1, u2):
+            return u1, u2, rejected
+        rejected += 1
+
+
+def _random_games(rng: Random, shapes: dict, values: range, small: bool, keep: Keep) -> list[SolveItem]:
     items = []
-
-    def draw() -> int:
-        return rng.choice(values)
-
     for (rows, cols), count in shapes.items():
         for _ in range(1 if small else count):
+            u1, u2, rejected = _draw_game(rng, rows, cols, values, keep)
             items.append(SolveItem(
                 f"int[{values[0]},{values[-1]}] {rows}x{cols}",
-                _labels("a", rows), _labels("b", cols),
-                _matrix(rng, rows, cols, draw), _matrix(rng, rows, cols, draw),
+                _labels("a", rows), _labels("b", cols), u1, u2, rejected=rejected,
             ))
     return items
 
@@ -176,14 +194,18 @@ def _rotate_formats(rng: Random, items: list[SolveItem]) -> list[SolveItem]:
 
 
 def build_solve_generic(rng: Random, small: bool, workdir: Path) -> list[SolveItem]:
-    items = _random_games(rng, GENERIC_SHAPES, range(-99, 100), small)
+    items = _random_games(rng, GENERIC_SHAPES, range(-99, 100), small, checker.in_general_position)
     for _ in range(1 if small else GENERIC_PD_GAMES):
         items.append(SolveItem("pd 2x2", checker.PD_LABELS, checker.PD_LABELS, *checker.pd_payoffs(_years(rng))))
     return _rotate_formats(rng, items)
 
 
+def _has_pure_equilibrium(u1: checker.Matrix, u2: checker.Matrix) -> bool:
+    return bool(checker.pure_nash(u1, u2))
+
+
 def build_solve_degenerate(rng: Random, small: bool, workdir: Path) -> list[SolveItem]:
-    items = _random_games(rng, DEGENERATE_SHAPES, range(-1, 2), small)
+    items = _random_games(rng, DEGENERATE_SHAPES, range(-1, 2), small, _has_pure_equilibrium)
     for kind, w in DEGENERATE_GPD:
         for _ in range(1 if small else 2):
             u1, u2 = checker.gpd_payoffs(_years(rng), kind, w)
@@ -415,7 +437,7 @@ def build_cli(rng: Random, small: bool, workdir: Path) -> list[CliItem]:
     pd_seeded = checker.pd_payoffs(years)
     pd_text = checker.game_text("classical_pd", checker.PD_LABELS, checker.PD_LABELS, *pd_seeded)
     labels = _labels("a", 3), _labels("b", 3)
-    u = [_matrix(rng, 3, 3, lambda: rng.randint(-99, 99)) for _ in range(2)]
+    *u, _ = _draw_game(rng, 3, 3, range(-99, 100), checker.in_general_position)
     game3_text = checker.game_text("g", *labels, *u)
     gpd_seeded = checker.gpd_payoffs(years, "mixture", w)
     gpd_text = checker.game_text("generalized_pd", checker.GPD_LABELS, checker.GPD_LABELS, *gpd_seeded)
