@@ -31,7 +31,7 @@ from .equilibrium import EquilibriumReport
 
 FORMATS = ("table", "csv", "json")
 
-_RAT_RE = re.compile(r"-?\d+(?:/\d+)?")
+_RAT_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 _TOKEN_RE = re.compile(r"\S+")
 
 

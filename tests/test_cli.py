@@ -29,6 +29,18 @@ T : -1 1  1 -1
 """
 
 
+# Rows b and c tie as player 1's best deviation from (a, x), and columns y
+# and z tie as player 2's from (b, x); both gains are non-integers.
+TIE_DOC = """\
+game tie
+rows a b c
+cols x y z
+payoffs
+a : 0 0  0 0  0 0
+b : 1/2 0  0 3/2  0 3/2
+c : 1/2 0  0 0  0 0
+"""
+
 @pytest.fixture
 def run(capsys):
     def invoke(*args):
@@ -108,6 +120,10 @@ class TestGpd:
         code, _, err = run("gpd", "--w", "1/2", "--ambiguous", "optimistic")
         assert code == 1
         assert "not allowed" in err
+
+    def test_non_ascii_weight_is_usage_error(self, run):
+        code, out, _ = run("gpd", "--w", "١/٢")
+        assert (code, out) == (1, "")
 
     def test_out_of_range_weight_exits_3(self, run):
         code, _, err = run("gpd", "--w", "7/3")
@@ -199,6 +215,14 @@ class TestVerify:
         code, out, _ = run("verify", pd_file, "--profile", "D,C")
         assert code == 0
         assert out == "NOT NASH: player 2 deviates C→D, gain 1\n"
+
+    def test_tied_deviations_report_lowest_index(self, run, tmp_path):
+        path = tmp_path / "tie.game"
+        path.write_text(TIE_DOC, encoding="utf-8")
+        code, out, _ = run("verify", str(path), "--profile", "a,x")
+        assert (code, out) == (0, "NOT NASH: player 1 deviates a→b, gain 1/2\n")
+        code, out, _ = run("verify", str(path), "--profile", "b,x")
+        assert (code, out) == (0, "NOT NASH: player 2 deviates x→y, gain 3/2\n")
 
     def test_unknown_label_exits_3(self, run, pd_file):
         code, out, err = run("verify", pd_file, "--profile", "X,C")

@@ -42,7 +42,7 @@ class TestParseRat:
         assert parse_rat("1/2") == Fraction(1, 2)
         assert parse_rat("-10/4") == Fraction(-5, 2)
 
-    @pytest.mark.parametrize("bad", ["", "1/0", "3/-6", "1.5", "+2", "1 /2", "a", "1/2/3"])
+    @pytest.mark.parametrize("bad", ["", "1/0", "3/-6", "1.5", "+2", "1 /2", "a", "1/2/3", "٣/٤", "３"])
     def test_bad_literals_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_rat(bad)
@@ -214,6 +214,70 @@ dominance:
 degenerate: no
 """
 
+REPORT_JSON = """\
+{
+  "labels1": [
+    "C",
+    "D"
+  ],
+  "labels2": [
+    "C",
+    "D"
+  ],
+  "pure": [
+    {
+      "row": "D",
+      "col": "D",
+      "strict": true
+    }
+  ],
+  "mixed": [
+    {
+      "x": [
+        "0",
+        "1"
+      ],
+      "y": [
+        "0",
+        "1"
+      ]
+    }
+  ],
+  "dominance": [
+    {
+      "player": 1,
+      "dominated": "C",
+      "dominator": "D",
+      "mode": "strict"
+    },
+    {
+      "player": 2,
+      "dominated": "C",
+      "dominator": "D",
+      "mode": "strict"
+    }
+  ],
+  "degenerate": false
+}
+"""
+
+ALL_OFF_JSON = """\
+{
+  "labels1": [
+    "C",
+    "D"
+  ],
+  "labels2": [
+    "C",
+    "D"
+  ],
+  "pure": null,
+  "mixed": null,
+  "dominance": null,
+  "degenerate": null
+}
+"""
+
 
 class TestReportEmission:
     def test_pd_csv_golden(self):
@@ -221,6 +285,9 @@ class TestReportEmission:
 
     def test_pd_table_golden(self):
         assert emit_report(analyze(classical_pd()), "table") == REPORT_TABLE
+
+    def test_pd_json_golden(self):
+        assert emit_report(analyze(classical_pd()), "json") == REPORT_JSON
 
     def test_pd_json_contents(self):
         payload = json.loads(emit_report(analyze(classical_pd()), "json"))
@@ -241,6 +308,10 @@ class TestReportEmission:
         assert emit_report(report, "csv") == "kind,row,col,strictness\npure,D,D,strict\n"
         payload = json.loads(emit_report(report, "json"))
         assert payload["mixed"] is None and payload["dominance"] is None
+        none = analyze(classical_pd(), pure=False, mixed=False, dominance=False)
+        assert emit_report(none, "table") == "\n"
+        assert emit_report(none, "csv") == ""
+        assert emit_report(none, "json") == ALL_OFF_JSON
 
     def test_emitters_are_deterministic(self):
         report = analyze(generalized_pd(PdParams(), Mixture(Fraction(1, 3))))
@@ -263,10 +334,157 @@ w,equilibria,dominance
 1,D/D,1:C<D;1:S<D;2:C<D;2:S<D
 """
 
+SWEEP_TABLE = """\
+w    equilibria       dominance
+0    D/D;D/S;S/D;S/S  1:C<D;1:C<S;2:C<D;2:C<S
+1/2  D/D              1:C<D;1:C<S;1:S<D;2:C<D;2:C<S;2:S<D
+1    D/D              1:C<D;1:S<D;2:C<D;2:S<D
+"""
+
+SWEEP_JSON = """\
+[
+  {
+    "w": "0",
+    "equilibria": [
+      [
+        "D",
+        "D"
+      ],
+      [
+        "D",
+        "S"
+      ],
+      [
+        "S",
+        "D"
+      ],
+      [
+        "S",
+        "S"
+      ]
+    ],
+    "dominance": [
+      {
+        "player": 1,
+        "dominated": "C",
+        "dominator": "D",
+        "mode": "strict"
+      },
+      {
+        "player": 1,
+        "dominated": "C",
+        "dominator": "S",
+        "mode": "strict"
+      },
+      {
+        "player": 2,
+        "dominated": "C",
+        "dominator": "D",
+        "mode": "strict"
+      },
+      {
+        "player": 2,
+        "dominated": "C",
+        "dominator": "S",
+        "mode": "strict"
+      }
+    ]
+  },
+  {
+    "w": "1/2",
+    "equilibria": [
+      [
+        "D",
+        "D"
+      ]
+    ],
+    "dominance": [
+      {
+        "player": 1,
+        "dominated": "C",
+        "dominator": "D",
+        "mode": "strict"
+      },
+      {
+        "player": 1,
+        "dominated": "C",
+        "dominator": "S",
+        "mode": "strict"
+      },
+      {
+        "player": 1,
+        "dominated": "S",
+        "dominator": "D",
+        "mode": "strict"
+      },
+      {
+        "player": 2,
+        "dominated": "C",
+        "dominator": "D",
+        "mode": "strict"
+      },
+      {
+        "player": 2,
+        "dominated": "C",
+        "dominator": "S",
+        "mode": "strict"
+      },
+      {
+        "player": 2,
+        "dominated": "S",
+        "dominator": "D",
+        "mode": "strict"
+      }
+    ]
+  },
+  {
+    "w": "1",
+    "equilibria": [
+      [
+        "D",
+        "D"
+      ]
+    ],
+    "dominance": [
+      {
+        "player": 1,
+        "dominated": "C",
+        "dominator": "D",
+        "mode": "strict"
+      },
+      {
+        "player": 1,
+        "dominated": "S",
+        "dominator": "D",
+        "mode": "strict"
+      },
+      {
+        "player": 2,
+        "dominated": "C",
+        "dominator": "D",
+        "mode": "strict"
+      },
+      {
+        "player": 2,
+        "dominated": "S",
+        "dominator": "D",
+        "mode": "strict"
+      }
+    ]
+  }
+]
+"""
+
 
 class TestSweepEmission:
     def test_csv_golden(self):
         assert emit_report(sweep_mixture(PdParams(), 2), "csv") == SWEEP_CSV
+
+    def test_table_golden(self):
+        assert emit_report(sweep_mixture(PdParams(), 2), "table") == SWEEP_TABLE
+
+    def test_json_golden(self):
+        assert emit_report(sweep_mixture(PdParams(), 2), "json") == SWEEP_JSON
 
     def test_rows_in_increasing_weight_order(self):
         lines = emit_report(sweep_mixture(PdParams(), 4), "csv").splitlines()
