@@ -12,21 +12,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .core import Game, InvalidGameError, PureProfile, Rat, validate_game
+from .core import Game, PureProfile, Rat
 from .dilemma import (
     Ambiguous,
     Mixture,
-    NotGeneralizedGameError,
     PdParams,
     classical_pd,
     generalized_pd,
     reduce_to_classical,
     sweep_mixture,
 )
-from .equilibrium import analyze, is_nash
+from .equilibrium import analyze, best_responses, is_nash
 from .formats import FORMATS, GameDocument, ParseError, emit_report, parse_game, parse_rat, serialize_game
 
 EXIT_OK = 0
@@ -95,10 +93,6 @@ def _read_document(path: str) -> GameDocument:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     doc = _read_document(args.file)
-    problems = validate_game(doc.game)
-    if problems:
-        print(f"error: invalid game: {'; '.join(problems)}", file=sys.stderr)
-        return EXIT_INVALID
     run_all = not (args.pure or args.mixed or args.dominance)
     report = analyze(
         doc.game,
@@ -127,17 +121,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _witness(g: Game, p: PureProfile) -> tuple[int, str, str, Fraction]:
+def _witness(g: Game, p: PureProfile) -> tuple[int, str, str, Rat]:
     # best deviation for the first player with a profitable one; ties -> lowest index
-    current1 = g.u1[p.i][p.j]
-    gains1 = [(g.u1[k][p.j] - current1, k) for k in range(len(g.labels1))]
-    best_gain, best_k = max(gains1, key=lambda t: (t[0], -t[1]))
-    if best_gain > 0:
-        return 1, g.labels1[p.i], g.labels1[best_k], best_gain
-    current2 = g.u2[p.i][p.j]
-    gains2 = [(g.u2[p.i][k] - current2, k) for k in range(len(g.labels2))]
-    best_gain, best_k = max(gains2, key=lambda t: (t[0], -t[1]))
-    return 2, g.labels2[p.j], g.labels2[best_k], best_gain
+    best = min(best_responses(g, 1, p.j))
+    gain = g.u1[best][p.j] - g.u1[p.i][p.j]
+    if gain > 0:
+        return 1, g.labels1[p.i], g.labels1[best], gain
+    best = min(best_responses(g, 2, p.i))
+    return 2, g.labels2[p.j], g.labels2[best], g.u2[p.i][best] - g.u2[p.i][p.j]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -243,9 +234,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InvalidGameError, NotGeneralizedGameError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .core import Game, MixedProfile, Player, PureProfile, Rat, check_profile
 
@@ -98,30 +98,42 @@ def pure_equilibria(g: Game) -> list[PureProfile]:
     ]
 
 
-def _dominates(row_a: Sequence[Rat], row_b: Sequence[Rat], mode: Mode) -> bool:
-    # does b dominate a?
-    if mode == "strict":
-        return all(b > a for a, b in zip(row_a, row_b))
-    return all(b >= a for a, b in zip(row_a, row_b)) and any(
-        b > a for a, b in zip(row_a, row_b)
-    )
+def _dominance_mode(dominated: Sequence[Rat], dominator: Sequence[Rat]) -> Mode | None:
+    """How `dominator` dominates `dominated` payoff-wise, or None if it does not."""
+    better = tied = False
+    for a, b in zip(dominated, dominator):
+        if b < a:
+            return None
+        if b > a:
+            better = True
+        else:
+            tied = True
+    if not tied:
+        return "strict"
+    return "weak" if better else None
+
+
+def _dominance_pairs(g: Game) -> Iterator[tuple[Player, int, int, Mode]]:
+    """Every dominated pair as (player, dominated, dominator, strongest mode).
+
+    Pairs come in (player, dominated, dominator) order; mode is "strict" when
+    the dominator pays more against every opponent strategy, else "weak".
+    """
+    for player, vectors in ((1, g.u1), (2, tuple(zip(*g.u2)))):
+        for a, b in itertools.product(range(len(vectors)), repeat=2):
+            if a != b and (mode := _dominance_mode(vectors[a], vectors[b])) is not None:
+                yield player, a, b, mode
 
 
 def dominance_facts(g: Game, mode: Mode) -> list[DominanceFact]:
     """Every (dominated, dominator) pair per player, ordered by indices."""
     if mode not in ("strict", "weak"):
         raise ValueError("mode must be 'strict' or 'weak'")
-    rows, cols = g.shape
-    facts: list[DominanceFact] = []
-    for a, b in itertools.product(range(rows), repeat=2):
-        if a != b and _dominates(g.u1[a], g.u1[b], mode):
-            facts.append(DominanceFact(1, a, b, mode))
-    for a, b in itertools.product(range(cols), repeat=2):
-        if a != b and _dominates(
-            [g.u2[i][a] for i in range(rows)], [g.u2[i][b] for i in range(rows)], mode
-        ):
-            facts.append(DominanceFact(2, a, b, mode))
-    return facts
+    return [
+        DominanceFact(player, a, b, mode)
+        for player, a, b, found in _dominance_pairs(g)
+        if mode == "weak" or found == "strict"
+    ]
 
 
 def expected_payoff(g: Game, player: Player, m: MixedProfile) -> Rat:
@@ -186,18 +198,16 @@ def _indifference_solution(
     u: tuple[tuple[Rat, ...], ...],
     own_support: tuple[int, ...],
     other_support: tuple[int, ...],
-    transpose: bool,
 ) -> tuple[list[Rat], Rat] | None:
     """Solve for the opponent mixture that equalizes payoffs on own_support.
 
     Unknowns are the opponent probabilities (on other_support) plus the common
-    payoff value. With transpose=False, u is indexed u[own][other]; with
-    transpose=True, u[other][own].
+    payoff value; u is indexed u[own][other].
     """
     rows = []
     rhs = []
     for s in own_support:
-        coeff = [u[t][s] if transpose else u[s][t] for t in other_support]
+        coeff = [u[s][t] for t in other_support]
         rows.append(coeff + [Fraction(-1)])
         rhs.append(Fraction(0))
     rows.append([Fraction(1)] * len(other_support) + [Fraction(0)])
@@ -211,19 +221,20 @@ def _indifference_solution(
 def _enumerate_mixed(g: Game) -> tuple[list[MixedProfile], bool]:
     """All isolated support-enumeration equilibria plus a degeneracy flag."""
     rows, cols = g.shape
+    u2_by_column = tuple(zip(*g.u2))
     kept: dict[tuple[tuple[Rat, ...], tuple[Rat, ...]], tuple[int, int]] = {}
     degenerate = False
     for mask1 in range(1, 1 << rows):
         support1 = _bits(mask1, rows)
         for mask2 in range(1, 1 << cols):
             support2 = _bits(mask2, cols)
-            got = _indifference_solution(g.u1, support1, support2, transpose=False)
+            got = _indifference_solution(g.u1, support1, support2)
             if got is None:
                 continue
             y_support, v1 = got
             if any(p <= 0 for p in y_support):
                 continue
-            got = _indifference_solution(g.u2, support2, support1, transpose=True)
+            got = _indifference_solution(u2_by_column, support2, support1)
             if got is None:
                 continue
             x_support, v2 = got
@@ -285,19 +296,6 @@ def mixed_equilibria(g: Game) -> list[MixedProfile]:
     return found
 
 
-def _report_dominance(g: Game) -> tuple[DominanceFact, ...]:
-    strict = dominance_facts(g, "strict")
-    strict_pairs = {(f.player, f.dominated, f.dominator) for f in strict}
-    weak_only = [
-        f
-        for f in dominance_facts(g, "weak")
-        if (f.player, f.dominated, f.dominator) not in strict_pairs
-    ]
-    return tuple(
-        sorted(strict + weak_only, key=lambda f: (f.player, f.dominated, f.dominator, f.mode))
-    )
-
-
 def analyze(
     g: Game,
     *,
@@ -317,7 +315,7 @@ def analyze(
     if mixed:
         found, degenerate = _mixed_or_raise(g)
         mixed_found = tuple(found)
-    facts: tuple[DominanceFact, ...] | None = _report_dominance(g) if dominance else None
+    facts = tuple(DominanceFact(*pair) for pair in _dominance_pairs(g)) if dominance else None
     return EquilibriumReport(
         labels1=g.labels1,
         labels2=g.labels2,

@@ -10,9 +10,14 @@ ignored, cells are "u1 u2" pairs separated by two spaces):
     C : -1 -1  -5 0
     D : 0 -5  -4 -4
 
-Rationals are written "a" or "a/b" with an optional leading minus and no
-decimals, so values survive round trips bit-exactly. All emitters are
-deterministic: equal inputs give byte-identical output.
+Rationals are written "a" or "a/b" (ASCII digits) with an optional leading
+minus and no decimals, so values survive round trips bit-exactly.
+
+Reports pass through one record layer: an equilibrium report or a sweep is
+turned into plain records once, with labels resolved, rationals rendered by
+format_rat and each dominance fact a dict. JSON output is those records as
+they are; table and csv text is rendered from the same records. All emitters
+are deterministic: equal inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Game, MixedProfile, Rat, make_game
+from .core import Game, Rat, make_game
 from .dilemma import SweepRow
-from .equilibrium import EquilibriumReport
+from .equilibrium import DominanceFact, EquilibriumReport
 
 FORMATS = ("table", "csv", "json")
 
@@ -195,204 +200,134 @@ def serialize_game(g: Game, name: str) -> str:
 
 def game_to_json(g: Game, name: str) -> str:
     """JSON rendering of a game with rationals as strings (no precision loss)."""
-    obj = {
+    return _json_text({
         "name": name,
         "labels1": list(g.labels1),
         "labels2": list(g.labels2),
         "u1": [[format_rat(v) for v in row] for row in g.u1],
         "u2": [[format_rat(v) for v in row] for row in g.u2],
-    }
+    })
+
+
+def _json_text(obj: object) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _vector_text(vec: Sequence[Rat]) -> str:
-    return "/".join(format_rat(v) for v in vec)
-
-
-def _csv_rows(rows: list[list[str]]) -> str:
+def _csv_text(rows: Sequence[Sequence[str]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)
     return buffer.getvalue()
 
 
-def _report_csv(report: EquilibriumReport) -> str:
-    sections: list[str] = []
+def _fact_record(fact: DominanceFact, labels1: Sequence[str], labels2: Sequence[str]) -> dict:
+    labels = labels1 if fact.player == 1 else labels2
+    return {
+        "player": fact.player,
+        "dominated": labels[fact.dominated],
+        "dominator": labels[fact.dominator],
+        "mode": fact.mode,
+    }
+
+
+def _report_record(report: EquilibriumReport) -> dict:
+    labels1, labels2 = report.labels1, report.labels2
+    pure = mixed = dominance = None
     if report.pure is not None:
-        rows = [["kind", "row", "col", "strictness"]]
-        for profile, strict in zip(report.pure, report.strict or ()):
-            rows.append([
-                "pure",
-                report.labels1[profile.i],
-                report.labels2[profile.j],
-                "strict" if strict else "weak",
-            ])
-        sections.append(_csv_rows(rows))
-    if report.mixed is not None:
-        rows = [["kind", "x", "y"]]
-        for profile in report.mixed:
-            rows.append(["mixed", _vector_text(profile.x), _vector_text(profile.y)])
-        sections.append(_csv_rows(rows))
-    if report.dominance is not None:
-        rows = [["kind", "player", "dominated", "dominator", "mode"]]
-        for fact in report.dominance:
-            labels = report.labels1 if fact.player == 1 else report.labels2
-            rows.append([
-                "dominance",
-                str(fact.player),
-                labels[fact.dominated],
-                labels[fact.dominator],
-                fact.mode,
-            ])
-        sections.append(_csv_rows(rows))
-    return "\n".join(sections)
-
-
-def _mixed_text(profile: MixedProfile) -> str:
-    x = ", ".join(format_rat(v) for v in profile.x)
-    y = ", ".join(format_rat(v) for v in profile.y)
-    return f"x=({x})  y=({y})"
-
-
-def _report_table(report: EquilibriumReport) -> str:
-    lines: list[str] = []
-    if report.pure is not None:
-        lines.append("pure equilibria:")
-        if report.pure:
-            for profile, strict in zip(report.pure, report.strict or ()):
-                pair = f"({report.labels1[profile.i]}, {report.labels2[profile.j]})"
-                lines.append(f"  {pair}  [{'strict' if strict else 'weak'}]")
-        else:
-            lines.append("  (none)")
-    if report.mixed is not None:
-        lines.append("mixed equilibria:")
-        if report.mixed:
-            lines.extend(f"  {_mixed_text(profile)}" for profile in report.mixed)
-        else:
-            lines.append("  (none)")
-    if report.dominance is not None:
-        lines.append("dominance:")
-        if report.dominance:
-            for fact in report.dominance:
-                labels = report.labels1 if fact.player == 1 else report.labels2
-                lines.append(
-                    f"  player {fact.player}: {labels[fact.dominated]} dominated "
-                    f"by {labels[fact.dominator]} [{fact.mode}]"
-                )
-        else:
-            lines.append("  (none)")
-    if report.degenerate is not None:
-        lines.append(f"degenerate: {'yes' if report.degenerate else 'no'}")
-    return "\n".join(lines) + "\n"
-
-
-def _report_json(report: EquilibriumReport) -> str:
-    def pure_items() -> list[dict] | None:
-        if report.pure is None:
-            return None
-        return [
-            {
-                "row": report.labels1[p.i],
-                "col": report.labels2[p.j],
-                "strict": strict,
-            }
+        pure = [
+            {"row": labels1[p.i], "col": labels2[p.j], "strict": strict}
             for p, strict in zip(report.pure, report.strict or ())
         ]
-
-    def mixed_items() -> list[dict] | None:
-        if report.mixed is None:
-            return None
-        return [
-            {
-                "x": [format_rat(v) for v in m.x],
-                "y": [format_rat(v) for v in m.y],
-            }
+    if report.mixed is not None:
+        mixed = [
+            {"x": [format_rat(v) for v in m.x], "y": [format_rat(v) for v in m.y]}
             for m in report.mixed
         ]
-
-    def dominance_items() -> list[dict] | None:
-        if report.dominance is None:
-            return None
-        out = []
-        for fact in report.dominance:
-            labels = report.labels1 if fact.player == 1 else report.labels2
-            out.append(
-                {
-                    "player": fact.player,
-                    "dominated": labels[fact.dominated],
-                    "dominator": labels[fact.dominator],
-                    "mode": fact.mode,
-                }
-            )
-        return out
-
-    obj = {
-        "labels1": list(report.labels1),
-        "labels2": list(report.labels2),
-        "pure": pure_items(),
-        "mixed": mixed_items(),
-        "dominance": dominance_items(),
+    if report.dominance is not None:
+        dominance = [_fact_record(f, labels1, labels2) for f in report.dominance]
+    return {
+        "labels1": list(labels1),
+        "labels2": list(labels2),
+        "pure": pure,
+        "mixed": mixed,
+        "dominance": dominance,
         "degenerate": report.degenerate,
     }
-    return json.dumps(obj, indent=2) + "\n"
 
 
-def _sweep_equilibria_text(row: SweepRow) -> str:
-    return ";".join(f"{r}/{c}" for r, c in row.equilibria)
+def _strictness(item: dict) -> str:
+    return "strict" if item["strict"] else "weak"
 
 
-def _sweep_dominance_text(row: SweepRow) -> str:
-    return ";".join(
-        f"{fact.player}:{row.labels[fact.dominated]}<{row.labels[fact.dominator]}"
-        for fact in row.dominance
+# One entry per report section: record key, table title, csv header, and the
+# table line and the csv row of one item record.
+_SECTIONS = (
+    (
+        "pure", "pure equilibria", ("kind", "row", "col", "strictness"),
+        lambda p: f"({p['row']}, {p['col']})  [{_strictness(p)}]",
+        lambda p: ("pure", p["row"], p["col"], _strictness(p)),
+    ),
+    (
+        "mixed", "mixed equilibria", ("kind", "x", "y"),
+        lambda m: f"x=({', '.join(m['x'])})  y=({', '.join(m['y'])})",
+        lambda m: ("mixed", "/".join(m["x"]), "/".join(m["y"])),
+    ),
+    (
+        "dominance", "dominance", ("kind", "player", "dominated", "dominator", "mode"),
+        lambda f: f"player {f['player']}: {f['dominated']} dominated by {f['dominator']} [{f['mode']}]",
+        lambda f: ("dominance", str(f["player"]), f["dominated"], f["dominator"], f["mode"]),
+    ),
+)
+
+
+def _report_text(record: dict, format: str) -> str:
+    """Table or csv text of a report record, one block per requested section.
+
+    Table blocks are titled and say "(none)" when empty, and the table ends
+    with the degenerate flag; csv blocks are a header plus rows, separated by
+    a blank line.
+    """
+    blocks = []
+    for key, title, header, table_line, csv_row in _SECTIONS:
+        items = record[key]
+        if items is None:
+            continue
+        if format == "csv":
+            blocks.append(_csv_text([header, *map(csv_row, items)]))
+        else:
+            blocks.append(f"{title}:")
+            blocks.extend([f"  {table_line(item)}" for item in items] or ["  (none)"])
+    if format == "csv":
+        return "\n".join(blocks)
+    if record["degenerate"] is not None:
+        blocks.append(f"degenerate: {'yes' if record['degenerate'] else 'no'}")
+    return "\n".join(blocks) + "\n"
+
+
+def _sweep_record(row: SweepRow) -> dict:
+    return {
+        "w": format_rat(row.w),
+        "equilibria": [[r, c] for r, c in row.equilibria],
+        "dominance": [_fact_record(f, row.labels, row.labels) for f in row.dominance],
+    }
+
+
+def _sweep_text(records: Sequence[dict], format: str) -> str:
+    """Table or csv text of sweep records: one line per weight, in three columns."""
+    grid = [("w", "equilibria", "dominance")]
+    for record in records:
+        grid.append((
+            record["w"],
+            ";".join(f"{r}/{c}" for r, c in record["equilibria"]),
+            ";".join(f"{f['player']}:{f['dominated']}<{f['dominator']}" for f in record["dominance"]),
+        ))
+    if format == "csv":
+        return _csv_text(grid)
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    return "".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip() + "\n"
+        for line in grid
     )
-
-
-def _sweep_csv(rows: Sequence[SweepRow]) -> str:
-    table = [["w", "equilibria", "dominance"]]
-    for row in rows:
-        table.append([
-            format_rat(row.w),
-            _sweep_equilibria_text(row),
-            _sweep_dominance_text(row),
-        ])
-    return _csv_rows(table)
-
-
-def _sweep_table(rows: Sequence[SweepRow]) -> str:
-    header = ("w", "equilibria", "dominance")
-    body = [
-        (format_rat(row.w), _sweep_equilibria_text(row), _sweep_dominance_text(row))
-        for row in rows
-    ]
-    widths = [
-        max(len(header[k]), *(len(line[k]) for line in body)) if body else len(header[k])
-        for k in range(3)
-    ]
-    lines = []
-    for record in [header, *body]:
-        lines.append("  ".join(record[k].ljust(widths[k]) for k in range(3)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _sweep_json(rows: Sequence[SweepRow]) -> str:
-    items = [
-        {
-            "w": format_rat(row.w),
-            "equilibria": [[r, c] for r, c in row.equilibria],
-            "dominance": [
-                {
-                    "player": fact.player,
-                    "dominated": row.labels[fact.dominated],
-                    "dominator": row.labels[fact.dominator],
-                    "mode": fact.mode,
-                }
-                for fact in row.dominance
-            ],
-        }
-        for row in rows
-    ]
-    return json.dumps(items, indent=2) + "\n"
 
 
 def emit_report(
@@ -402,10 +337,10 @@ def emit_report(
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; choose from {', '.join(FORMATS)}")
     if isinstance(report, EquilibriumReport):
-        emitters = {"table": _report_table, "csv": _report_csv, "json": _report_json}
-        return emitters[format](report)
+        record = _report_record(report)
+        return _json_text(record) if format == "json" else _report_text(record, format)
     rows = list(report)
     if any(not isinstance(r, SweepRow) for r in rows):
         raise TypeError("emit_report expects an EquilibriumReport or SweepRow sequence")
-    emitters = {"table": _sweep_table, "csv": _sweep_csv, "json": _sweep_json}
-    return emitters[format](rows)
+    records = [_sweep_record(row) for row in rows]
+    return _json_text(records) if format == "json" else _sweep_text(records, format)

@@ -41,6 +41,7 @@ b : 1/2 0  0 3/2  0 3/2
 c : 1/2 0  0 0  0 0
 """
 
+
 @pytest.fixture
 def run(capsys):
     def invoke(*args):

@@ -42,7 +42,9 @@ class TestParseRat:
         assert parse_rat("1/2") == Fraction(1, 2)
         assert parse_rat("-10/4") == Fraction(-5, 2)
 
-    @pytest.mark.parametrize("bad", ["", "1/0", "3/-6", "1.5", "+2", "1 /2", "a", "1/2/3", "٣/٤", "３"])
+    @pytest.mark.parametrize(
+        "bad", ["", "1/0", "3/-6", "1.5", "+2", "1 /2", "a", "1/2/3", "٣/٤", "３"]
+    )
     def test_bad_literals_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_rat(bad)
