@@ -19,12 +19,13 @@ Deleting S recovers the classical game exactly, whatever the semantics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, Sequence
 
 from .core import Game, Rat, as_rat, make_game
-from .equilibrium import DominanceFact, dominance_facts, pure_equilibria
+from .equilibrium import DominanceFact, _dominance_pairs, _pure_cells
 
 Attitude = Literal["pessimistic", "optimistic"]
 
@@ -117,21 +118,27 @@ def classical_pd(params: PdParams = PdParams()) -> Game:
 _RESOLUTIONS = ((0,), (1,), (0, 1))
 
 
-def _mixture_entry(
-    u: tuple[tuple[Rat, ...], ...], a: int, b: int, w: Rat
-) -> Rat:
-    def prob(strategy: int, resolved: int) -> Rat:
-        if strategy < 2:
-            return Fraction(1)
-        return w if resolved == 0 else 1 - w
+def _integer_payoffs(base: Game) -> tuple[int, list[list[int]], list[list[int]]]:
+    """The LCM of both matrices' denominators, and both matrices times it."""
+    scale = math.lcm(*(v.denominator for u in (base.u1, base.u2) for row in u for v in row))
+    u1, u2 = (
+        [[v.numerator * (scale // v.denominator) for v in row] for row in u]
+        for u in (base.u1, base.u2)
+    )
+    return scale, u1, u2
 
-    return sum(
-        (
-            prob(a, ra) * prob(b, rb) * u[ra][rb]
-            for ra in _RESOLUTIONS[a]
-            for rb in _RESOLUTIONS[b]
-        ),
-        start=Fraction(0),
+
+def _expectations(u: Sequence[Sequence[int]], p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """q**2 times the 3x3 expectations of a 2x2 u when S plays C with weight p/q.
+
+    C, D and S weigh the resolutions (C, D) as (q, 0), (0, q) and (p, q - p);
+    entry (a, b) is the sum of wa[ra] * wb[rb] * u[ra][rb].
+    """
+    weights = ((q, 0), (0, q), (p, q - p))
+    (cc, cd), (dc, dd) = u
+    return tuple(
+        tuple(ca * (cb * cc + db * cd) + da * (cb * dc + db * dd) for cb, db in weights)
+        for ca, da in weights
     )
 
 
@@ -147,14 +154,18 @@ def _ambiguous_entry(
 def generalized_pd(params: PdParams, sem: SilenceSemantics) -> Game:
     """The 3x3 game over {C, D, S} whose C/D block equals the classical game."""
     base = classical_pd(params)
-
-    def entry(u: tuple[tuple[Rat, ...], ...], a: int, b: int) -> Rat:
-        if isinstance(sem, Mixture):
-            return _mixture_entry(u, a, b, sem.w)
-        return _ambiguous_entry(u, a, b, sem.attitude)
-
-    u1 = tuple(tuple(entry(base.u1, a, b) for b in range(3)) for a in range(3))
-    u2 = tuple(tuple(entry(base.u2, a, b) for b in range(3)) for a in range(3))
+    if isinstance(sem, Mixture):
+        scale, *payoffs = _integer_payoffs(base)
+        p, q = sem.w.numerator, sem.w.denominator
+        u1, u2 = (
+            [[Fraction(v, scale * q * q) for v in row] for row in _expectations(u, p, q)]
+            for u in payoffs
+        )
+    else:
+        u1, u2 = (
+            [[_ambiguous_entry(u, a, b, sem.attitude) for b in range(3)] for a in range(3)]
+            for u in (base.u1, base.u2)
+        )
     return make_game(GENERALIZED_LABELS, GENERALIZED_LABELS, u1, u2)
 
 
@@ -315,16 +326,20 @@ def sweep_mixture(params: PdParams, steps: int) -> list[SweepRow]:
 
     Each row records the pure equilibria (as label pairs, lexicographic) and
     the strict dominance facts of the generalized game at that weight.
+
+    Rows are computed on integers: both classical matrices are scaled once by
+    the LCM of their denominators, and weight k/steps enters as the integer
+    weights (k, steps - k), so each entry is steps**2 * scale times the exact
+    one. A positive scaling changes no argmax and no dominance relation, so
+    the rows are those of generalized_pd(params, Mixture(k/steps)).
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    _, u1, u2 = _integer_payoffs(classical_pd(params))
     out: list[SweepRow] = []
     for k in range(steps + 1):
-        w = Fraction(k, steps)
-        g = generalized_pd(params, Mixture(w))
-        pairs = tuple(
-            (g.labels1[p.i], g.labels2[p.j]) for p in pure_equilibria(g)
-        )
-        facts = tuple(dominance_facts(g, "strict"))
-        out.append(SweepRow(w=w, labels=GENERALIZED_LABELS, equilibria=pairs, dominance=facts))
+        m1, m2 = _expectations(u1, k, steps), _expectations(u2, k, steps)
+        pairs = tuple((GENERALIZED_LABELS[i], GENERALIZED_LABELS[j]) for i, j in _pure_cells(m1, m2))
+        facts = tuple(DominanceFact(*f) for f in _dominance_pairs(m1, m2) if f[3] == "strict")
+        out.append(SweepRow(Fraction(k, steps), GENERALIZED_LABELS, pairs, facts))
     return out

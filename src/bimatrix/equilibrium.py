@@ -57,6 +57,12 @@ class EquilibriumReport:
     dominance: tuple[DominanceFact, ...] | None = None
     degenerate: bool | None = None
 
+    def __post_init__(self) -> None:
+        if (self.pure is None) != (self.strict is None) or (
+            self.pure is not None and len(self.pure) != len(self.strict)
+        ):
+            raise ValueError("strict must be parallel to pure: both None or equally long")
+
 
 def best_responses(g: Game, player: Player, opponent_choice: int) -> frozenset[int]:
     """The argmax set of the player's payoffs against a fixed opponent strategy."""
@@ -87,15 +93,21 @@ def is_strict(g: Game, p: PureProfile) -> bool:
     return best_responses(g, 1, p.j) == {p.i} and best_responses(g, 2, p.i) == {p.j}
 
 
+def _pure_cells(u1: Sequence[Sequence[Rat]], u2: Sequence[Sequence[Rat]]) -> list[tuple[int, int]]:
+    """Cells where both players best-respond, in (row, column) order, in O(mn)."""
+    col_best = [max(column) for column in zip(*u1)]
+    row_best = [max(row) for row in u2]
+    return [
+        (i, j)
+        for i, (row1, row2) in enumerate(zip(u1, u2))
+        for j, (v1, v2) in enumerate(zip(row1, row2))
+        if v1 == col_best[j] and v2 == row_best[i]
+    ]
+
+
 def pure_equilibria(g: Game) -> list[PureProfile]:
     """All pure equilibria, in lexicographic (row, column) order."""
-    rows, cols = g.shape
-    return [
-        PureProfile(i, j)
-        for i in range(rows)
-        for j in range(cols)
-        if is_nash(g, PureProfile(i, j))
-    ]
+    return [PureProfile(i, j) for i, j in _pure_cells(g.u1, g.u2)]
 
 
 def _dominance_mode(dominated: Sequence[Rat], dominator: Sequence[Rat]) -> Mode | None:
@@ -113,13 +125,15 @@ def _dominance_mode(dominated: Sequence[Rat], dominator: Sequence[Rat]) -> Mode 
     return "weak" if better else None
 
 
-def _dominance_pairs(g: Game) -> Iterator[tuple[Player, int, int, Mode]]:
+def _dominance_pairs(
+    u1: Sequence[Sequence[Rat]], u2: Sequence[Sequence[Rat]]
+) -> Iterator[tuple[Player, int, int, Mode]]:
     """Every dominated pair as (player, dominated, dominator, strongest mode).
 
     Pairs come in (player, dominated, dominator) order; mode is "strict" when
     the dominator pays more against every opponent strategy, else "weak".
     """
-    for player, vectors in ((1, g.u1), (2, tuple(zip(*g.u2)))):
+    for player, vectors in ((1, u1), (2, tuple(zip(*u2)))):
         for a, b in itertools.product(range(len(vectors)), repeat=2):
             if a != b and (mode := _dominance_mode(vectors[a], vectors[b])) is not None:
                 yield player, a, b, mode
@@ -131,7 +145,7 @@ def dominance_facts(g: Game, mode: Mode) -> list[DominanceFact]:
         raise ValueError("mode must be 'strict' or 'weak'")
     return [
         DominanceFact(player, a, b, mode)
-        for player, a, b, found in _dominance_pairs(g)
+        for player, a, b, found in _dominance_pairs(g.u1, g.u2)
         if mode == "weak" or found == "strict"
     ]
 
@@ -315,7 +329,7 @@ def analyze(
     if mixed:
         found, degenerate = _mixed_or_raise(g)
         mixed_found = tuple(found)
-    facts = tuple(DominanceFact(*pair) for pair in _dominance_pairs(g)) if dominance else None
+    facts = tuple(DominanceFact(*pair) for pair in _dominance_pairs(g.u1, g.u2)) if dominance else None
     return EquilibriumReport(
         labels1=g.labels1,
         labels2=g.labels2,

@@ -72,7 +72,7 @@ def parse_rat(text: str) -> Rat:
 
 def format_rat(value: Rat) -> str:
     """Canonical rendering: reduced, '/'-separated only when non-integer."""
-    return str(Fraction(value))
+    return str(value) if type(value) is Fraction else str(Fraction(value))
 
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:

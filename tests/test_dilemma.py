@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bimatrix.core import PureProfile, make_game, validate_game
 from bimatrix.dilemma import (
@@ -13,6 +15,7 @@ from bimatrix.dilemma import (
     Mixture,
     NotGeneralizedGameError,
     PdParams,
+    SweepRow,
     classical_pd,
     generalized_pd,
     mixture_consistency,
@@ -257,6 +260,25 @@ class TestSweep:
             expected = tuple((g.labels1[p.i], g.labels2[p.j]) for p in pure_equilibria(g))
             assert row.equilibria == expected
             assert row.dominance == tuple(dominance_facts(g, "strict"))
+
+    @settings(deadline=None)
+    @given(
+        free=st.fractions(0, 20, max_denominator=6),
+        gaps=st.lists(st.fractions(Fraction(1, 6), 12, max_denominator=6), min_size=3, max_size=3),
+        steps=st.integers(1, 60),
+    )
+    def test_rows_equal_exact_games_at_every_weight(self, free, gaps, steps):
+        params = PdParams(free, free + gaps[0], free + gaps[0] + gaps[1], free + sum(gaps))
+        expected = []
+        for k in range(steps + 1):
+            g = generalized_pd(params, Mixture(Fraction(k, steps)))
+            expected.append(SweepRow(
+                w=Fraction(k, steps),
+                labels=g.labels1,
+                equilibria=tuple((g.labels1[p.i], g.labels2[p.j]) for p in pure_equilibria(g)),
+                dominance=tuple(dominance_facts(g, "strict")),
+            ))
+        assert sweep_mixture(params, steps) == expected
 
     def test_step_count_validated(self):
         with pytest.raises(ValueError):

@@ -6,12 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bimatrix.core import MixedProfile, PureProfile, make_game
 from bimatrix.dilemma import Mixture, PdParams, classical_pd, generalized_pd
 from bimatrix import equilibrium
 from bimatrix.equilibrium import (
     DominanceFact,
+    EquilibriumReport,
     NoEquilibriumFoundError,
     analyze,
     best_responses,
@@ -106,6 +109,18 @@ class TestPureNash:
         for _ in range(150):
             g = random_game(rng)
             assert [(p.i, p.j) for p in pure_equilibria(g)] == brute_force_pure(g)
+
+    @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6))
+    def test_matches_is_nash_scan_on_games_with_ties(self, data, rows, cols):
+        # Entries from a handful of values, so most columns and rows tie.
+        entry = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 2)))
+        matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+        g = make_game(
+            [f"r{i}" for i in range(rows)], [f"c{j}" for j in range(cols)],
+            data.draw(matrix), data.draw(matrix),
+        )
+        cells = [PureProfile(i, j) for i in range(rows) for j in range(cols)]
+        assert pure_equilibria(g) == [p for p in cells if is_nash(g, p)]
 
 
 class TestDominance:
@@ -308,6 +323,18 @@ class TestStructuralProperties:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize(
+        "pure, strict",
+        [
+            ((PureProfile(0, 0),), None),
+            (None, (True,)),
+            ((PureProfile(0, 0), PureProfile(1, 1)), (True,)),
+        ],
+    )
+    def test_report_rejects_strict_not_parallel_to_pure(self, pure, strict):
+        with pytest.raises(ValueError):
+            EquilibriumReport(("a", "b"), ("x", "y"), pure=pure, strict=strict)
+
     def test_report_sections_follow_requests(self):
         report = analyze(classical_pd(), pure=True, mixed=False, dominance=False)
         assert report.pure == (PureProfile(1, 1),)
