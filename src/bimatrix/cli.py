@@ -5,7 +5,8 @@ gpd (emit canonical classical/generalized dilemma game files), sweep
 (equilibria across an exact grid of mixture weights), verify (check one pure
 profile), and reduce (drop the silence strategy). Reports go to stdout,
 diagnostics to stderr. Exit codes: 0 success, 1 usage error, 2 game file
-parse error, 3 semantic/validation error.
+parse error, 3 semantic/validation error, 4 mixed enumeration found no
+equilibrium (a solver defect on some degenerate games).
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from .dilemma import (
     reduce_to_classical,
     sweep_mixture,
 )
-from .equilibrium import analyze, best_responses, is_nash
+from .equilibrium import NoEquilibriumFoundError, analyze, best_responses, is_nash
 from .formats import FORMATS, GameDocument, ParseError, emit_report, parse_game, parse_rat, serialize_game
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
+EXIT_SOLVER = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,6 +239,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except NoEquilibriumFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 def run() -> None:

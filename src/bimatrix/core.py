@@ -136,7 +136,7 @@ def make_game(
     u2: Iterable[Iterable[object]],
 ) -> Game:
     """Construct a Game and raise InvalidGameError on any invariant violation."""
-    g = Game(tuple(labels1), tuple(labels2), _freeze_matrix(u1), _freeze_matrix(u2))
+    g = Game(labels1, labels2, u1, u2)
     problems = validate_game(g)
     if problems:
         raise InvalidGameError("; ".join(problems))

@@ -2,9 +2,11 @@
 
 Pure equilibria are checked directly against the weak-inequality best-response
 conditions. Mixed equilibria come from support enumeration: for every pair of
-nonempty supports the exact linear indifference system is solved over
-Fraction, and solutions are kept only if every support probability is strictly
-positive and no off-support deviation pays more (weak inequality, exact).
+nonempty supports of equal size, each player's square indifference system is
+solved over Fraction, and solutions are kept only if every support probability
+is strictly positive and no off-support deviation pays more (weak inequality,
+exact). Unequal sizes are skipped: one player's system then has more unknowns
+than equations, so it never has the unique solution enumeration keeps.
 Intended for small games (each side at most ~6 strategies).
 """
 
@@ -166,128 +168,93 @@ def expected_payoff(g: Game, player: Player, m: MixedProfile) -> Rat:
     )
 
 
-def _solve_unique(
-    rows: list[list[Rat]], rhs: list[Rat]
-) -> list[Rat] | None:
-    """Gauss-Jordan over Fraction; the unique solution of A z = rhs, or None.
+# Fractions, not ints: a system row of int constants divided by an int pivot
+# would turn into floats.
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
-    Returns None for inconsistent and for underdetermined systems alike: in
-    both cases the support pair being examined yields no isolated candidate.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(row) + [rhs[k]] for k, row in enumerate(rows)]
-    pivot_cols: list[int] = []
-    r = 0
+
+def _solve_square(a: list[list[Rat]], b: list[Rat]) -> list[Rat] | None:
+    """Gauss-Jordan over Fraction: the solution of square a z = b, or None if a is singular."""
+    n = len(a)
+    aug = [row + [v] for row, v in zip(a, b)]
     for c in range(n):
-        pivot = next((k for k in range(r, m) if aug[k][c] != 0), None)
+        pivot = next((k for k in range(c, n) if aug[k][c] != 0), None)
         if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c]
-        aug[r] = [v / inv for v in aug[r]]
-        for k in range(m):
-            if k != r and aug[k][c] != 0:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = aug[c][c]
+        aug[c] = [v / inv for v in aug[c]]
+        for k in range(n):
+            if k != c and aug[k][c] != 0:
                 factor = aug[k][c]
-                aug[k] = [v - factor * w for v, w in zip(aug[k], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    if any(aug[k][n] != 0 for k in range(r, m)):
-        return None
-    if len(pivot_cols) < n:
-        return None
-    solution = [Fraction(0)] * n
-    for idx, c in enumerate(pivot_cols):
-        solution[c] = aug[idx][n]
-    return solution
+                aug[k] = [v - factor * w for v, w in zip(aug[k], aug[c])]
+    return [row[n] for row in aug]
 
 
 def _bits(mask: int, size: int) -> tuple[int, ...]:
     return tuple(k for k in range(size) if mask >> k & 1)
 
 
-def _indifference_solution(
+def _opponent_mixture(
     u: tuple[tuple[Rat, ...], ...],
     own_support: tuple[int, ...],
     other_support: tuple[int, ...],
-) -> tuple[list[Rat], Rat] | None:
-    """Solve for the opponent mixture that equalizes payoffs on own_support.
+) -> tuple[list[Rat], bool] | None:
+    """The opponent mixture on other_support that makes own_support a best reply.
 
-    Unknowns are the opponent probabilities (on other_support) plus the common
-    payoff value; u is indexed u[own][other].
+    u is indexed u[own][other] and both supports have the same size. The
+    unknowns are the opponent probabilities plus the common payoff on
+    own_support. Returns the opponent's full mixture and whether an
+    off-support strategy ties that payoff, or None when the system is
+    singular, a support probability is not positive, or an off-support
+    strategy pays more.
     """
-    rows = []
-    rhs = []
-    for s in own_support:
-        coeff = [u[s][t] for t in other_support]
-        rows.append(coeff + [Fraction(-1)])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * len(other_support) + [Fraction(0)])
-    rhs.append(Fraction(1))
-    solution = _solve_unique(rows, rhs)
-    if solution is None:
+    a = [[u[s][t] for t in other_support] + [_MINUS_ONE] for s in own_support]
+    a.append([_ONE] * len(other_support) + [_ZERO])
+    solution = _solve_square(a, [_ZERO] * len(own_support) + [_ONE])
+    if solution is None or any(p <= 0 for p in solution[:-1]):
         return None
-    return solution[:-1], solution[-1]
+    value = solution[-1]
+    mixture = [_ZERO] * len(u[0])
+    for t, p in zip(other_support, solution):
+        mixture[t] = p
+    tied = False
+    for s, row in enumerate(u):
+        if s in own_support:
+            continue
+        deviation = sum((row[t] * mixture[t] for t in other_support), start=_ZERO)
+        if deviation > value:
+            return None
+        tied = tied or deviation == value
+    return mixture, tied
 
 
 def _enumerate_mixed(g: Game) -> tuple[list[MixedProfile], bool]:
-    """All isolated support-enumeration equilibria plus a degeneracy flag."""
+    """All isolated support-enumeration equilibria plus a degeneracy flag.
+
+    Each profile found has exactly the supports it was solved on, so none
+    repeats, and the list comes in (row mask, column mask) order.
+    """
     rows, cols = g.shape
     u2_by_column = tuple(zip(*g.u2))
-    kept: dict[tuple[tuple[Rat, ...], tuple[Rat, ...]], tuple[int, int]] = {}
+    found: list[MixedProfile] = []
     degenerate = False
     for mask1 in range(1, 1 << rows):
         support1 = _bits(mask1, rows)
         for mask2 in range(1, 1 << cols):
+            if mask2.bit_count() != len(support1):
+                continue
             support2 = _bits(mask2, cols)
-            got = _indifference_solution(g.u1, support1, support2)
-            if got is None:
+            side1 = _opponent_mixture(g.u1, support1, support2)
+            if side1 is None:
                 continue
-            y_support, v1 = got
-            if any(p <= 0 for p in y_support):
+            side2 = _opponent_mixture(u2_by_column, support2, support1)
+            if side2 is None:
                 continue
-            got = _indifference_solution(u2_by_column, support2, support1)
-            if got is None:
-                continue
-            x_support, v2 = got
-            if any(p <= 0 for p in x_support):
-                continue
-            y = [Fraction(0)] * cols
-            for j, p in zip(support2, y_support):
-                y[j] = p
-            x = [Fraction(0)] * rows
-            for i, p in zip(support1, x_support):
-                x[i] = p
-            tied = False
-            ok = True
-            for i in range(rows):
-                if i in support1:
-                    continue
-                value = sum((g.u1[i][j] * y[j] for j in support2), start=Fraction(0))
-                if value > v1:
-                    ok = False
-                    break
-                if value == v1:
-                    tied = True
-            if ok:
-                for j in range(cols):
-                    if j in support2:
-                        continue
-                    value = sum((g.u2[i][j] * x[i] for i in support1), start=Fraction(0))
-                    if value > v2:
-                        ok = False
-                        break
-                    if value == v2:
-                        tied = True
-            if not ok:
-                continue
-            kept.setdefault((tuple(x), tuple(y)), (mask1, mask2))
-            if tied:
-                degenerate = True
-    ordered = sorted(kept.items(), key=lambda item: (item[1], item[0]))
-    return [MixedProfile(x, y) for (x, y), _ in ordered], degenerate
+            (y, tied1), (x, tied2) = side1, side2
+            found.append(MixedProfile(x, y))
+            degenerate = degenerate or tied1 or tied2
+    return found, degenerate
 
 
 def _mixed_or_raise(g: Game) -> tuple[list[MixedProfile], bool]:

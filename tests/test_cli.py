@@ -42,6 +42,18 @@ c : 1/2 0  0 0  0 0
 """
 
 
+# A degenerate game on which support enumeration finds no equilibrium.
+MISSED_DOC = """\
+game missed
+rows r0 r1 r2
+cols c0 c1 c2
+payoffs
+r0 : 1 -1  1 0  -1 1
+r1 : -1 1  1 0  0 -1
+r2 : -1 0  0 1  1 0
+"""
+
+
 @pytest.fixture
 def run(capsys):
     def invoke(*args):
@@ -179,6 +191,18 @@ class TestSolve:
         direct = run("solve", pd_file, "--pure", "--format", "csv")
         assert code == 0
         assert out == direct[1]
+
+    def test_enumeration_finding_nothing_exits_4(self, run, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(MISSED_DOC))
+        code, out, err = run("solve", "-")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_enumeration_finding_nothing_leaves_pure_and_dominance(self, run, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(MISSED_DOC))
+        code, out, err = run("solve", "-", "--pure", "--dominance")
+        assert (code, err) == (0, "")
+        assert "pure equilibria:" in out
 
 
 class TestSweep:

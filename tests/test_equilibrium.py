@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bimatrix.core import MixedProfile, PureProfile, make_game
-from bimatrix.dilemma import Mixture, PdParams, classical_pd, generalized_pd
+from bimatrix.dilemma import Ambiguous, Mixture, PdParams, classical_pd, generalized_pd
 from bimatrix import equilibrium
 from bimatrix.equilibrium import (
     DominanceFact,
@@ -283,6 +283,74 @@ class TestMixedEquilibria:
                     expected.add(((x0, 1 - x0), (y0, 1 - y0)))
             generic_checked += 1
             assert {(m.x, m.y) for m in mixed_equilibria(g)} == expected
+
+
+def _vector(text):
+    return tuple(Fraction(v) for v in text.split())
+
+
+def _int_game(u1, u2):
+    rows, cols = len(u1), len(u1[0])
+    return make_game([f"r{i}" for i in range(rows)], [f"c{j}" for j in range(cols)], u1, u2)
+
+
+# (game, expected mixed equilibria in reported order as (x, y) strings, degenerate)
+PINNED_TIE_GAMES = {
+    "silence_weight_0": (
+        lambda: generalized_pd(PdParams(), Mixture(Fraction(0))),
+        [("0 1 0", "0 1 0"), ("0 1 0", "0 0 1"), ("0 0 1", "0 1 0"), ("0 0 1", "0 0 1")],
+        True,
+    ),
+    "silence_pessimistic": (
+        lambda: generalized_pd(PdParams(), Ambiguous("pessimistic")),
+        [("0 1 0", "0 1 0")],
+        False,
+    ),
+    "silence_optimistic": (
+        lambda: generalized_pd(PdParams(), Ambiguous("optimistic")),
+        [("0 1 0", "0 1 0"), ("0 1 0", "0 0 1"), ("0 0 1", "0 1 0"), ("0 0 1", "0 0 1")],
+        True,
+    ),
+    "ties_3x3": (
+        lambda: _int_game(
+            [[-1, 1, 0], [-1, 1, 0], [-1, 0, 1]], [[-1, 0, -1], [1, 0, -1], [1, -1, 1]]
+        ),
+        [
+            ("1 0 0", "0 1 0"),
+            ("0 1 0", "1 0 0"),
+            ("0 0 1", "1 0 0"),
+            ("0 0 1", "0 0 1"),
+            ("2/3 0 1/3", "0 1/2 1/2"),
+        ],
+        True,
+    ),
+    "ties_3x4": (
+        lambda: _int_game(
+            [[-1, -1, 0, -1], [1, 0, -1, -1], [-1, 0, 0, -1]],
+            [[1, -1, 0, -1], [-1, 0, 0, 0], [-1, 0, 0, 1]],
+        ),
+        [
+            ("0 1 0", "0 1 0 0"),
+            ("0 1 0", "0 0 0 1"),
+            ("1/2 1/2 0", "1/3 0 2/3 0"),
+            ("0 0 1", "0 0 0 1"),
+        ],
+        True,
+    ),
+    "ties_2x3_nondegenerate": (
+        lambda: _int_game([[-1, 1, 1], [0, -1, 0]], [[0, 1, 0], [1, -1, 0]]),
+        [("1 0", "0 1 0"), ("0 1", "1 0 0"), ("2/3 1/3", "2/3 1/3 0")],
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TIE_GAMES))
+def test_order_and_degenerate_flag_pinned_on_games_with_ties(name):
+    build, expected, degenerate = PINNED_TIE_GAMES[name]
+    g = build()
+    assert mixed_equilibria(g) == [MixedProfile(_vector(x), _vector(y)) for x, y in expected]
+    assert analyze(g).degenerate is degenerate
 
 
 class TestStructuralProperties:
