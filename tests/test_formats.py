@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
 import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bimatrix.core import make_game
-from bimatrix.dilemma import Mixture, PdParams, classical_pd, generalized_pd, sweep_mixture
-from bimatrix.equilibrium import analyze
+from bimatrix.dilemma import Mixture, PdParams, SweepRow, classical_pd, generalized_pd, sweep_mixture
+from bimatrix.equilibrium import DominanceFact, analyze
 from bimatrix.formats import (
     GameDocument,
     ParseError,
@@ -508,6 +511,137 @@ class TestSweepEmission:
 
     def test_empty_row_list_emits_header_only(self):
         assert emit_report([], "csv") == "w,equilibria,dominance\n"
+
+
+def _oracle_sweep_text(rows, fmt):
+    """Sweep text built row by row with json, csv and str only (no formats helper)."""
+    if fmt == "json":
+        records = [
+            {
+                "w": str(Fraction(row.w)),
+                "equilibria": [[r, c] for r, c in row.equilibria],
+                "dominance": [
+                    {
+                        "player": f.player,
+                        "dominated": row.labels[f.dominated],
+                        "dominator": row.labels[f.dominator],
+                        "mode": f.mode,
+                    }
+                    for f in row.dominance
+                ],
+            }
+            for row in rows
+        ]
+        return json.dumps(records, indent=2) + "\n"
+    grid = [("w", "equilibria", "dominance")]
+    for row in rows:
+        grid.append((
+            str(Fraction(row.w)),
+            ";".join(f"{r}/{c}" for r, c in row.equilibria),
+            ";".join(f"{f.player}:{row.labels[f.dominated]}<{row.labels[f.dominator]}" for f in row.dominance),
+        ))
+    if fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(grid)
+        return buffer.getvalue()
+    widths = [max(len(line[c]) for line in grid) for c in range(3)]
+    return "".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip() + "\n"
+        for line in grid
+    )
+
+
+# Labels that JSON must escape (quotes, backslashes, control and non-ASCII
+# characters, U+2028) and that csv must quote.
+_ODD_LABELS = ("C", "D", "é", "沈黙", 'say "no"', "back\\slash", "a,b", "tab\there", "new\nline", "\u2028")
+
+
+@st.composite
+def _outcomes(draw):
+    labels = tuple(draw(st.lists(st.sampled_from(_ODD_LABELS), min_size=1, max_size=4, unique=True)))
+    pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+    index = st.integers(0, len(labels) - 1)
+    facts = st.builds(DominanceFact, st.sampled_from((1, 2)), index, index, st.sampled_from(("strict", "weak")))
+    return labels, tuple(draw(st.lists(pairs, max_size=4))), tuple(draw(st.lists(facts, max_size=4)))
+
+
+def _fresh(outcome):
+    """An equal outcome held in new tuple and fact objects."""
+    labels, equilibria, dominance = outcome
+    return (
+        tuple(list(labels)),
+        tuple([tuple(list(pair)) for pair in equilibria]),
+        tuple([DominanceFact(f.player, f.dominated, f.dominator, f.mode) for f in dominance]),
+    )
+
+
+class TestSweepEmissionOracle:
+    @settings(deadline=None)
+    @given(
+        free=st.fractions(0, 20, max_denominator=6),
+        gaps=st.lists(st.fractions(Fraction(1, 6), 12, max_denominator=6), min_size=3, max_size=3),
+        steps=st.integers(1, 80),
+    )
+    def test_sweeps_match_per_row_oracle(self, free, gaps, steps):
+        params = PdParams(free, free + gaps[0], free + gaps[0] + gaps[1], free + sum(gaps))
+        rows = sweep_mixture(params, steps)
+        for fmt in ("table", "csv", "json"):
+            assert emit_report(rows, fmt) == _oracle_sweep_text(rows, fmt)
+
+    @settings(deadline=None)
+    @given(
+        a=_outcomes(),
+        b=_outcomes(),
+        tail=st.lists(st.tuples(st.integers(0, 1), st.booleans()), max_size=6),
+        weights=st.lists(st.fractions(), min_size=9, max_size=9),
+    )
+    def test_hand_built_rows_match_per_row_oracle(self, a, b, tail, weights):
+        # Outcomes alternate A, B, A, then follow `tail`; a True flag holds the
+        # row's outcome in fresh objects, equal in value to the first ones.
+        outcomes = (a, b)
+        pattern = [(0, False), (1, False), (0, True), *tail]
+        rows = [
+            SweepRow(w, *(_fresh(outcomes[which]) if fresh else outcomes[which]))
+            for w, (which, fresh) in zip(weights, pattern)
+        ]
+        for fmt in ("table", "csv", "json"):
+            assert emit_report(rows, fmt) == _oracle_sweep_text(rows, fmt)
+
+
+# sha256 of emit_report(sweep_mixture(PdParams(*years), steps), fmt) on grids
+# where both the equilibria and the dominance facts change mid-sweep.
+SWEEP_REGIME_SHA256 = {
+    ((0, 1, 4, 5), 40): {
+        "table": "83352c37cec3564880b10bb446c4c6235d87dbbc2967509f45d15dacaa2fd081",
+        "csv": "20f3e2d9c6f1c93b5030885410aa8620fc67cc3f9eb12fd7a3a9a795084abb3a",
+        "json": "62d8174de086b38386412c320aca387f7ccb3272a8b844865a0248b722552a2e",
+    },
+    ((0, 1, 2, 3), 24): {
+        "table": "58c59ed70736103954d1b981c56a4234cc2975707b46047b487d4343fe54561a",
+        "csv": "391cb04fe1658ba7df430d80a2fcf0ce1ae87032ebc7271f997d7fe65a937d25",
+        "json": "254f8ea1051fb12563fabcd63cdc8c2dae8a75892d111d50ffa049ab4283a6dd",
+    },
+    ((Fraction(1, 2), Fraction(7, 3), Fraction(9, 2), 11), 30): {
+        "table": "f5833a889915db8c88f524696b0dc67b46a0592b640be6ae6c19127a1e189682",
+        "csv": "b41f63d7b44a0a27a6c7ffd8908d3b025904d0da87c2d83af5c64f1e423f9f11",
+        "json": "cf896e1e8d3f9dc807961bec0d69564e129c219e93949c1fd3dbec98e8bd9979",
+    },
+    ((0, 3, 4, 10), 37): {
+        "table": "7d1d6d21213db11813d5f7266ba3bfcfdf42122a9662b92c72c8dd81e4700bba",
+        "csv": "3f71bb916a37ca71dcb22de53b26543df42fc4ea11c1393ea924fb3dcf4ac61e",
+        "json": "9d881c880dc67076256b4539a7ac929f4489057fa6ed8bc08f08c571c999d093",
+    },
+}
+
+
+@pytest.mark.parametrize("years,steps", list(SWEEP_REGIME_SHA256))
+def test_multi_regime_sweep_goldens(years, steps):
+    rows = sweep_mixture(PdParams(*years), steps)
+    assert len({row.equilibria for row in rows}) > 1
+    assert len({row.dominance for row in rows}) > 2
+    for fmt in ("table", "csv", "json"):
+        digest = hashlib.sha256(emit_report(rows, fmt).encode("utf-8")).hexdigest()
+        assert digest == SWEEP_REGIME_SHA256[years, steps][fmt]
 
 
 def test_document_round_trip_identity():
