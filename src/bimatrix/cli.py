@@ -12,6 +12,7 @@ equilibrium (a solver defect on some degenerate games).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -33,6 +34,8 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_SOLVER = 4
+
+_STEPS_RE = re.compile(r"[0-9]+")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,10 +67,10 @@ def _years(text: str) -> tuple[Rat, Rat, Rat, Rat]:
 
 
 def _steps(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid step count {text!r}") from None
+    # int() alone would also take non-ASCII digits, underscores and spaces
+    if not _STEPS_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid step count {text!r}")
+    value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("steps must be at least 1")
     return value

@@ -332,14 +332,24 @@ def sweep_mixture(params: PdParams, steps: int) -> list[SweepRow]:
     weights (k, steps - k), so each entry is steps**2 * scale times the exact
     one. A positive scaling changes no argmax and no dominance relation, so
     the rows are those of generalized_pd(params, Mixture(k/steps)).
+
+    Outcomes are piecewise constant in the weight, so rows with equal pure
+    equilibria and dominance facts share one equilibria tuple and one
+    dominance tuple.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     _, u1, u2 = _integer_payoffs(classical_pd(params))
+    outcomes: dict[tuple, tuple] = {}
     out: list[SweepRow] = []
     for k in range(steps + 1):
         m1, m2 = _expectations(u1, k, steps), _expectations(u2, k, steps)
-        pairs = tuple((GENERALIZED_LABELS[i], GENERALIZED_LABELS[j]) for i, j in _pure_cells(m1, m2))
-        facts = tuple(DominanceFact(*f) for f in _dominance_pairs(m1, m2) if f[3] == "strict")
-        out.append(SweepRow(Fraction(k, steps), GENERALIZED_LABELS, pairs, facts))
+        cells = tuple(_pure_cells(m1, m2))
+        found = tuple(f for f in _dominance_pairs(m1, m2) if f[3] == "strict")
+        if (cells, found) not in outcomes:
+            outcomes[cells, found] = (
+                tuple((GENERALIZED_LABELS[i], GENERALIZED_LABELS[j]) for i, j in cells),
+                tuple(DominanceFact(*f) for f in found),
+            )
+        out.append(SweepRow(Fraction(k, steps), GENERALIZED_LABELS, *outcomes[cells, found]))
     return out

@@ -28,7 +28,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .core import Game, Rat, make_game
 from .dilemma import SweepRow
@@ -38,6 +38,8 @@ FORMATS = ("table", "csv", "json")
 
 _RAT_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 _TOKEN_RE = re.compile(r"\S+")
+
+_Piece = TypeVar("_Piece")
 
 
 class ParseError(ValueError):
@@ -304,30 +306,64 @@ def _report_text(record: dict, format: str) -> str:
     return "\n".join(blocks) + "\n"
 
 
-def _sweep_record(row: SweepRow) -> dict:
-    return {
-        "w": format_rat(row.w),
-        "equilibria": [[r, c] for r, c in row.equilibria],
-        "dominance": [_fact_record(f, row.labels, row.labels) for f in row.dominance],
-    }
+def _sweep_lines(rows: Sequence[SweepRow], render: Callable[[dict], _Piece]) -> list[tuple[str, _Piece]]:
+    """(w text, rendered outcome) per sweep row, rendering each distinct outcome once.
+
+    An outcome record holds a row's "equilibria" as [row, col] label lists and
+    its "dominance" as fact records. Rows with equal labels, equilibria and
+    dominance share one record, and `render` runs once on it.
+    """
+    rendered: dict[tuple, _Piece] = {}
+    lines = []
+    for row in rows:
+        key = (row.labels, row.equilibria, row.dominance)
+        piece = rendered.get(key)
+        if piece is None:
+            piece = rendered[key] = render({
+                "equilibria": [[r, c] for r, c in row.equilibria],
+                "dominance": [_fact_record(f, row.labels, row.labels) for f in row.dominance],
+            })
+        lines.append((format_rat(row.w), piece))
+    return lines
 
 
-def _sweep_text(records: Sequence[dict], format: str) -> str:
-    """Table or csv text of sweep records: one line per weight, in three columns."""
-    grid = [("w", "equilibria", "dominance")]
-    for record in records:
-        grid.append((
-            record["w"],
-            ";".join(f"{r}/{c}" for r, c in record["equilibria"]),
-            ";".join(f"{f['player']}:{f['dominated']}<{f['dominator']}" for f in record["dominance"]),
-        ))
-    if format == "csv":
-        return _csv_text(grid)
-    widths = [max(map(len, column)) for column in zip(*grid)]
-    return "".join(
-        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip() + "\n"
-        for line in grid
+def _outcome_cells(outcome: dict) -> tuple[str, str]:
+    return (
+        ";".join(f"{r}/{c}" for r, c in outcome["equilibria"]),
+        ";".join(f"{f['player']}:{f['dominated']}<{f['dominator']}" for f in outcome["dominance"]),
     )
+
+
+def _sweep_text(rows: Sequence[SweepRow], format: str) -> str:
+    """Table or csv text of a sweep: one line per weight, in three columns."""
+    grid = [("w", ("equilibria", "dominance")), *_sweep_lines(rows, _outcome_cells)]
+    if format == "csv":
+        return _csv_text([(w, *cells) for w, cells in grid])
+    distinct = {cells for _, cells in grid}
+    widths = [max(map(len, column)) for column in zip(*distinct)]
+    tails = {cells: "  ".join(cell.ljust(width) for cell, width in zip(cells, widths)) for cells in distinct}
+    w_width = max(len(w) for w, _ in grid)
+    return "".join(f"{w.ljust(w_width)}  {tails[cells]}".rstrip() + "\n" for w, cells in grid)
+
+
+def _outcome_json(outcome: dict) -> str:
+    # The members of json.dumps(outcome, indent=2), re-indented one level
+    # deeper to sit inside a row object of the sweep's top-level array.
+    return "  " + json.dumps(outcome, indent=2)[2:-2].replace("\n", "\n  ")
+
+
+def _sweep_json(rows: Sequence[SweepRow]) -> str:
+    """json.dumps(records, indent=2) + "\n" for the sweep's row records, spliced.
+
+    With an indent and the default ensure_ascii, json.dumps escapes every
+    control character inside strings, so each newline in an outcome fragment
+    is structural and indenting after it nests the fragment exactly.
+    """
+    lines = _sweep_lines(rows, _outcome_json)
+    if not lines:
+        return _json_text([])
+    body = ",\n".join(f'  {{\n    "w": {json.dumps(w)},\n{piece}\n  }}' for w, piece in lines)
+    return f"[\n{body}\n]\n"
 
 
 def emit_report(
@@ -342,5 +378,4 @@ def emit_report(
     rows = list(report)
     if any(not isinstance(r, SweepRow) for r in rows):
         raise TypeError("emit_report expects an EquilibriumReport or SweepRow sequence")
-    records = [_sweep_record(row) for row in rows]
-    return _json_text(records) if format == "json" else _sweep_text(records, format)
+    return _sweep_json(rows) if format == "json" else _sweep_text(rows, format)

@@ -225,6 +225,12 @@ class TestSweep:
         assert code == 0
         assert len(out.splitlines()) == 4
 
+    @pytest.mark.parametrize("steps", ["١٠", "1_0", " 3", "3 ", "+3", "３"])
+    def test_steps_other_than_ascii_digits_is_usage_error(self, run, steps):
+        code, out, err = run("sweep", "--steps", steps)
+        assert (code, out) == (1, "")
+        assert "step count" in err
+
 
 class TestVerify:
     def test_equilibrium_profile(self, run, pd_file):
