@@ -12,7 +12,6 @@ equilibrium (a solver defect on some degenerate games).
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from pathlib import Path
 
@@ -34,8 +33,6 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_SOLVER = 4
-
-_STEPS_RE = re.compile(r"[0-9]+")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,7 +65,7 @@ def _years(text: str) -> tuple[Rat, Rat, Rat, Rat]:
 
 def _steps(text: str) -> int:
     # int() alone would also take non-ASCII digits, underscores and spaces
-    if not _STEPS_RE.fullmatch(text):
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"invalid step count {text!r}")
     value = int(text)
     if value < 1:

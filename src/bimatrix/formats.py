@@ -15,9 +15,18 @@ minus and no decimals, so values survive round trips bit-exactly.
 
 Reports pass through one record layer: an equilibrium report or a sweep is
 turned into plain records once, with labels resolved, rationals rendered by
-format_rat and each dominance fact a dict. JSON output is those records as
-they are; table and csv text is rendered from the same records. All emitters
-are deterministic: equal inputs give byte-identical output.
+format_rat and each dominance fact a dict. Report JSON is json.dumps of those
+records; table and csv text is rendered from the same records.
+
+A sweep's outcomes are piecewise constant in the weight, so rows with equal
+labels, equilibria and dominance share one outcome record, rendered once.
+Sweep JSON is spliced from json.dumps(indent=2) fragments, one per distinct
+outcome, re-indented and joined with each row's weight; the bytes are those
+of json.dumps over the per-row records. That is exact because, with an
+indent and the default ensure_ascii, json.dumps escapes every control
+character inside strings, so each newline it writes is structural.
+
+All emitters are deterministic: equal inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -353,12 +362,9 @@ def _outcome_json(outcome: dict) -> str:
 
 
 def _sweep_json(rows: Sequence[SweepRow]) -> str:
-    """json.dumps(records, indent=2) + "\n" for the sweep's row records, spliced.
-
-    With an indent and the default ensure_ascii, json.dumps escapes every
-    control character inside strings, so each newline in an outcome fragment
-    is structural and indenting after it nests the fragment exactly.
-    """
+    """json.dumps(records, indent=2) + "\n" over the row records, spliced from
+    one fragment per distinct outcome (see the module docstring for why the
+    bytes are the same)."""
     lines = _sweep_lines(rows, _outcome_json)
     if not lines:
         return _json_text([])
