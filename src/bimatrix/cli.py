@@ -89,7 +89,14 @@ def _params(args: argparse.Namespace) -> PdParams:
 
 
 def _read_document(path: str) -> GameDocument:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    # Files and stdin both decode as UTF-8 whatever the locale, keeping
+    # undecodable bytes as lone surrogates for parse_game to locate.
+    if path != "-":
+        text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    elif hasattr(sys.stdin, "buffer"):
+        text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
+    else:
+        text = sys.stdin.read()
     return parse_game(text)
 
 

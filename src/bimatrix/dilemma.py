@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 from .core import Game, Rat, as_rat, make_game
-from .equilibrium import DominanceFact, _dominance_pairs, _pure_cells
+from .equilibrium import DominanceFact, dominance_facts, pure_equilibria
 
 Attitude = Literal["pessimistic", "optimistic"]
 
@@ -327,29 +327,21 @@ def sweep_mixture(params: PdParams, steps: int) -> list[SweepRow]:
     Each row records the pure equilibria (as label pairs, lexicographic) and
     the strict dominance facts of the generalized game at that weight.
 
-    Rows are computed on integers: both classical matrices are scaled once by
-    the LCM of their denominators, and weight k/steps enters as the integer
-    weights (k, steps - k), so each entry is steps**2 * scale times the exact
-    one. A positive scaling changes no argmax and no dominance relation, so
-    the rows are those of generalized_pd(params, Mixture(k/steps)).
-
-    Outcomes are piecewise constant in the weight, so rows with equal pure
-    equilibria and dominance facts share one equilibria tuple and one
-    dominance tuple.
+    The sweep has three outcomes: w = 0, 0 < w < 1 and w = 1. Every valid
+    PdParams makes D strictly dominate C, also against S, which mixes C and D.
+    S pays w times C's payoff plus 1 - w times D's against every opponent
+    strategy, so D - S = w (D - C) and S - C = (1 - w)(D - C): D strictly
+    dominates S for w > 0 and S strictly dominates C for w < 1, for both
+    players. So only the games at w = 0, 1/steps and 1 are solved, and rows
+    with equal outcomes share one equilibria tuple and one dominance tuple.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    _, u1, u2 = _integer_payoffs(classical_pd(params))
-    outcomes: dict[tuple, tuple] = {}
-    out: list[SweepRow] = []
-    for k in range(steps + 1):
-        m1, m2 = _expectations(u1, k, steps), _expectations(u2, k, steps)
-        cells = tuple(_pure_cells(m1, m2))
-        found = tuple(f for f in _dominance_pairs(m1, m2) if f[3] == "strict")
-        if (cells, found) not in outcomes:
-            outcomes[cells, found] = (
-                tuple((GENERALIZED_LABELS[i], GENERALIZED_LABELS[j]) for i, j in cells),
-                tuple(DominanceFact(*f) for f in found),
-            )
-        out.append(SweepRow(Fraction(k, steps), GENERALIZED_LABELS, *outcomes[cells, found]))
-    return out
+
+    def outcome(k: int) -> tuple[tuple[tuple[str, str], ...], tuple[DominanceFact, ...]]:
+        g = generalized_pd(params, Mixture(Fraction(k, steps)))
+        pairs = tuple((g.labels1[p.i], g.labels2[p.j]) for p in pure_equilibria(g))
+        return pairs, tuple(dominance_facts(g, "strict"))
+
+    outcomes = [outcome(0), *[outcome(1)] * (steps - 1), outcome(steps)]
+    return [SweepRow(Fraction(k, steps), GENERALIZED_LABELS, *o) for k, o in enumerate(outcomes)]

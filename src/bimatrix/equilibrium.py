@@ -95,21 +95,16 @@ def is_strict(g: Game, p: PureProfile) -> bool:
     return best_responses(g, 1, p.j) == {p.i} and best_responses(g, 2, p.i) == {p.j}
 
 
-def _pure_cells(u1: Sequence[Sequence[Rat]], u2: Sequence[Sequence[Rat]]) -> list[tuple[int, int]]:
-    """Cells where both players best-respond, in (row, column) order, in O(mn)."""
-    col_best = [max(column) for column in zip(*u1)]
-    row_best = [max(row) for row in u2]
+def pure_equilibria(g: Game) -> list[PureProfile]:
+    """All pure equilibria, in lexicographic (row, column) order, in O(mn)."""
+    col_best = [max(column) for column in zip(*g.u1)]
+    row_best = [max(row) for row in g.u2]
     return [
-        (i, j)
-        for i, (row1, row2) in enumerate(zip(u1, u2))
+        PureProfile(i, j)
+        for i, (row1, row2) in enumerate(zip(g.u1, g.u2))
         for j, (v1, v2) in enumerate(zip(row1, row2))
         if v1 == col_best[j] and v2 == row_best[i]
     ]
-
-
-def pure_equilibria(g: Game) -> list[PureProfile]:
-    """All pure equilibria, in lexicographic (row, column) order."""
-    return [PureProfile(i, j) for i, j in _pure_cells(g.u1, g.u2)]
 
 
 def _dominance_mode(dominated: Sequence[Rat], dominator: Sequence[Rat]) -> Mode | None:

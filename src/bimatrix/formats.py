@@ -133,8 +133,31 @@ def _labels_line(cursor: _Cursor, keyword: str, player: int) -> list[str]:
     return labels
 
 
+def _lone_surrogate_at(text: str) -> int:
+    """Index of the first lone surrogate in text, or -1.
+
+    errors="surrogateescape" decodes each byte that is not UTF-8 to one, and
+    only lone surrogates make encoding to UTF-8 fail.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return exc.start
+    return -1
+
+
 def parse_game(text: str) -> GameDocument:
-    """Parse a game document; raises ParseError with line/column on failure."""
+    """Parse a game document; raises ParseError with line/column on failure.
+
+    Lone surrogates (undecodable bytes) are rejected wherever they appear.
+    """
+    if _lone_surrogate_at(text) >= 0:
+        for number, raw in enumerate(text.splitlines(), start=1):
+            if (index := _lone_surrogate_at(raw)) >= 0:
+                raise ParseError(
+                    number, index + 1,
+                    f"undecodable character {raw[index]!r}: game files are UTF-8 text",
+                )
     cursor = _Cursor(text)
 
     line, tokens = cursor.next_line("'game <name>' header")
@@ -192,8 +215,25 @@ def parse_game(text: str) -> GameDocument:
     return GameDocument(name=name, game=make_game(labels1, labels2, u1, u2))
 
 
+def _check_token(kind: str, text: str) -> None:
+    if not _TOKEN_RE.fullmatch(text) or _lone_surrogate_at(text) >= 0:
+        raise ValueError(f"{kind} {text!r} must be one token without whitespace or lone surrogates")
+
+
 def serialize_game(g: Game, name: str) -> str:
-    """Canonical document text for a game; parse_game inverts this exactly."""
+    """Canonical document text for a game; parse_game inverts this exactly.
+
+    Raises ValueError for a name or label that would not read back as itself:
+    one that is not a single whitespace-free token of valid text, or a row
+    label starting with '#', which would make its payoff row a comment.
+    """
+    _check_token("game name", name)
+    for label in g.labels1:
+        _check_token("row label", label)
+        if label.startswith("#"):
+            raise ValueError(f"row label {label!r} starts with '#' and would read as a comment")
+    for label in g.labels2:
+        _check_token("column label", label)
     lines = [
         f"game {name}",
         "rows " + " ".join(g.labels1),

@@ -173,6 +173,34 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert "line 6" in err and "column" in err
 
+    @pytest.mark.parametrize(
+        "where,position",
+        [(b"rows C D", "line 2, column 9"), (b"-4 -4", "line 6, column 16")],
+        ids=["label", "payoff"],
+    )
+    def test_undecodable_file_exits_2_with_position(self, run, tmp_path, where, position):
+        path = tmp_path / "bad.game"
+        path.write_bytes(CLASSICAL_DOC.encode("utf-8").replace(where, where + b"\xff"))
+        code, out, err = run("solve", str(path))
+        assert (code, out) == (2, "")
+        assert position in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    @pytest.mark.parametrize(
+        "where,position",
+        [(b"rows C D", "line 2, column 9"), (b"-4 -4", "line 6, column 16")],
+        ids=["label", "payoff"],
+    )
+    def test_undecodable_stdin_exits_2_with_position(self, run, monkeypatch, where, position, errors):
+        # A UTF-8 locale reads stdin with errors="strict", the C locale with
+        # "surrogateescape"; the exit code must not depend on which.
+        data = CLASSICAL_DOC.encode("utf-8").replace(where, where + b"\xff")
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run("solve", "-")
+        assert (code, out) == (2, "")
+        assert position in err and "UTF-8" in err
+
     def test_missing_file_exits_2(self, run, tmp_path):
         code, _, err = run("solve", str(tmp_path / "absent.game"))
         assert code == 2

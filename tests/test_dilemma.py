@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bimatrix.core import PureProfile, make_game, validate_game
@@ -267,6 +267,8 @@ class TestSweep:
         gaps=st.lists(st.fractions(Fraction(1, 6), 12, max_denominator=6), min_size=3, max_size=3),
         steps=st.integers(1, 60),
     )
+    @example(free=Fraction(0), gaps=[Fraction(1), Fraction(3), Fraction(1)], steps=1)
+    @example(free=Fraction(1, 2), gaps=[Fraction(11, 6), Fraction(13, 6), Fraction(13, 2)], steps=2)
     def test_rows_equal_exact_games_at_every_weight(self, free, gaps, steps):
         params = PdParams(free, free + gaps[0], free + gaps[0] + gaps[1], free + sum(gaps))
         expected = []
@@ -279,6 +281,32 @@ class TestSweep:
                 dominance=tuple(dominance_facts(g, "strict")),
             ))
         assert sweep_mixture(params, steps) == expected
+
+    @settings(deadline=None)
+    @given(
+        free=st.fractions(0, 20, max_denominator=12),
+        gaps=st.lists(st.fractions(Fraction(1, 12), 12, max_denominator=12), min_size=3, max_size=3),
+        w=st.fractions(0, 1, max_denominator=10**6).filter(lambda w: 0 < w < 1),
+    )
+    def test_three_regimes_whatever_the_sentences(self, free, gaps, w):
+        # D strictly dominates C, and S pays the w-convex combination of C and
+        # D, so for 0 < w < 1 every column is ordered D > S > C.
+        params = PdParams(free, free + gaps[0], free + gaps[0] + gaps[1], free + sum(gaps))
+        C, D, S = 0, 1, 2
+
+        def outcome(weight):
+            g = generalized_pd(params, Mixture(weight))
+            return pure_equilibria(g), dominance_facts(g, "strict")
+
+        def facts(*pairs):
+            return [DominanceFact(player, a, b, "strict") for player in (1, 2) for a, b in pairs]
+
+        assert outcome(0) == (
+            [PureProfile(D, D), PureProfile(D, S), PureProfile(S, D), PureProfile(S, S)],
+            facts((C, D), (C, S)),
+        )
+        assert outcome(w) == ([PureProfile(D, D)], facts((C, D), (C, S), (S, D)))
+        assert outcome(1) == ([PureProfile(D, D)], facts((C, D), (S, D)))
 
     def test_step_count_validated(self):
         with pytest.raises(ValueError):

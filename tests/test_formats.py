@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,19 @@ class TestParseGame:
         assert err.value.line == 7
         assert "unexpected content" in err.value.reason
 
+    def test_lone_surrogate_rejected_with_position(self):
+        # errors="surrogateescape" reads the byte 0xff as "\udcff"
+        text = CLASSICAL_DOC.replace("rows C D", "rows C D\udcff")
+        with pytest.raises(ParseError) as err:
+            parse_game(text)
+        assert (err.value.line, err.value.column) == (2, 9)
+        assert "UTF-8" in err.value.reason
+
+    def test_lone_surrogate_in_comment_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_game("# note \udcff\n" + CLASSICAL_DOC)
+        assert (err.value.line, err.value.column) == (1, 8)
+
     def test_comment_lines_shift_error_positions(self):
         text = "# heading\n" + CLASSICAL_DOC.replace("C : -1 -1", "C : 1/0 -1")
         with pytest.raises(ParseError) as err:
@@ -178,6 +192,28 @@ class TestSerializeGame:
     def test_serialize_inverts_parse_on_canonical_documents(self):
         doc = parse_game(CLASSICAL_DOC)
         assert serialize_game(doc.game, doc.name) == CLASSICAL_DOC
+
+    @pytest.mark.parametrize(
+        "labels1,labels2,name,offender",
+        [
+            (["a b", "c"], ["x"], "g", "a b"),
+            (["a"], ["x", "y\tz"], "g", "y\tz"),
+            (["#r", "s"], ["x"], "g", "#r"),
+            (["a\udcff"], ["x"], "g", "a\udcff"),
+            (["a"], ["x"], "my game", "my game"),
+            (["a"], ["x"], "", ""),
+        ],
+    )
+    def test_names_that_would_not_read_back_rejected(self, labels1, labels2, name, offender):
+        zeros = [[0] * len(labels2)] * len(labels1)
+        g = make_game(labels1, labels2, zeros, zeros)
+        with pytest.raises(ValueError, match=re.escape(repr(offender))):
+            serialize_game(g, name)
+
+    def test_hash_inside_or_column_labels_still_round_trip(self):
+        g = make_game(["r#", "s"], ["#x", "y"], [[1, 2], [3, 4]], [[5, 6], [7, 8]])
+        doc = parse_game(serialize_game(g, "#name"))
+        assert (doc.name, doc.game) == ("#name", g)
 
     def test_fraction_cells_round_trip(self):
         g = generalized_pd(PdParams(), Mixture(Fraction(1, 2)))
