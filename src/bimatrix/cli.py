@@ -3,8 +3,8 @@
 Subcommands: solve (equilibrium/dominance reports for a game file), pd and
 gpd (emit canonical classical/generalized dilemma game files), sweep
 (equilibria across an exact grid of mixture weights), verify (check one pure
-profile), and reduce (drop the silence strategy). Reports go to stdout,
-diagnostics to stderr. Exit codes: 0 success, 1 usage error, 2 game file
+profile), and reduce (drop the silence strategy). Reports go to stdout as
+UTF-8 whatever the locale, diagnostics to stderr. Exit codes: 0 success, 1 usage error, 2 game file
 parse error, 3 semantic/validation error, 4 mixed enumeration found no
 equilibrium (a solver defect on some degenerate games).
 """
@@ -230,6 +230,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Labels and verify's arrow may be missing from the locale's encoding;
+    # game files are read as UTF-8 too.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

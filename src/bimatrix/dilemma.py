@@ -19,12 +19,11 @@ Deleting S recovers the classical game exactly, whatever the semantics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .core import Game, Rat, as_rat, make_game
+from .core import Game, Rat, as_rat, integer_payoffs, make_game
 from .equilibrium import DominanceFact, dominance_facts, pure_equilibria
 
 Attitude = Literal["pessimistic", "optimistic"]
@@ -118,16 +117,6 @@ def classical_pd(params: PdParams = PdParams()) -> Game:
 _RESOLUTIONS = ((0,), (1,), (0, 1))
 
 
-def _integer_payoffs(base: Game) -> tuple[int, list[list[int]], list[list[int]]]:
-    """The LCM of both matrices' denominators, and both matrices times it."""
-    scale = math.lcm(*(v.denominator for u in (base.u1, base.u2) for row in u for v in row))
-    u1, u2 = (
-        [[v.numerator * (scale // v.denominator) for v in row] for row in u]
-        for u in (base.u1, base.u2)
-    )
-    return scale, u1, u2
-
-
 def _expectations(u: Sequence[Sequence[int]], p: int, q: int) -> tuple[tuple[int, ...], ...]:
     """q**2 times the 3x3 expectations of a 2x2 u when S plays C with weight p/q.
 
@@ -155,7 +144,7 @@ def generalized_pd(params: PdParams, sem: SilenceSemantics) -> Game:
     """The 3x3 game over {C, D, S} whose C/D block equals the classical game."""
     base = classical_pd(params)
     if isinstance(sem, Mixture):
-        scale, *payoffs = _integer_payoffs(base)
+        scale, *payoffs = integer_payoffs(base)
         p, q = sem.w.numerator, sem.w.denominator
         u1, u2 = (
             [[Fraction(v, scale * q * q) for v in row] for row in _expectations(u, p, q)]

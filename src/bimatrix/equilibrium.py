@@ -1,7 +1,10 @@
 """Best responses, Nash equilibria, and dominance analysis in exact arithmetic.
 
 Pure equilibria are checked directly against the weak-inequality best-response
-conditions. Mixed equilibria come from support enumeration: for every pair of
+conditions. They and dominance compare payoffs scaled to integers by the LCM
+of their denominators (core.integer_payoffs); scaling by one positive integer
+keeps the order of the values, so both stay exact.
+Mixed equilibria come from support enumeration: for every pair of
 nonempty supports of equal size, each player's square indifference system is
 solved over Fraction, and solutions are kept only if every support probability
 is strictly positive and no off-support deviation pays more (weak inequality,
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal, Sequence
 
-from .core import Game, MixedProfile, Player, PureProfile, Rat, check_profile
+from .core import Game, MixedProfile, Player, PureProfile, Rat, check_profile, integer_payoffs
 
 Mode = Literal["strict", "weak"]
 
@@ -95,19 +98,33 @@ def is_strict(g: Game, p: PureProfile) -> bool:
     return best_responses(g, 1, p.j) == {p.i} and best_responses(g, 2, p.i) == {p.j}
 
 
-def pure_equilibria(g: Game) -> list[PureProfile]:
-    """All pure equilibria, in lexicographic (row, column) order, in O(mn)."""
-    col_best = [max(column) for column in zip(*g.u1)]
-    row_best = [max(row) for row in g.u2]
+def _pure_cells(
+    u1: Sequence[Sequence[int]], u2: Sequence[Sequence[int]]
+) -> list[tuple[int, int, bool]]:
+    """(row, column, strict) per pure equilibrium of integer payoffs, in
+    lexicographic order, in O(mn).
+
+    An equilibrium is strict when its payoff is the only best one in its
+    column of u1 and in its row of u2.
+    """
+    columns = list(zip(*u1))
+    col_best = [max(column) for column in columns]
+    row_best = [max(row) for row in u2]
     return [
-        PureProfile(i, j)
-        for i, (row1, row2) in enumerate(zip(g.u1, g.u2))
+        (i, j, columns[j].count(v1) == 1 and row2.count(v2) == 1)
+        for i, (row1, row2) in enumerate(zip(u1, u2))
         for j, (v1, v2) in enumerate(zip(row1, row2))
         if v1 == col_best[j] and v2 == row_best[i]
     ]
 
 
-def _dominance_mode(dominated: Sequence[Rat], dominator: Sequence[Rat]) -> Mode | None:
+def pure_equilibria(g: Game) -> list[PureProfile]:
+    """All pure equilibria, in lexicographic (row, column) order, in O(mn)."""
+    _, u1, u2 = integer_payoffs(g)
+    return [PureProfile(i, j) for i, j, _ in _pure_cells(u1, u2)]
+
+
+def _dominance_mode(dominated: Sequence[int], dominator: Sequence[int]) -> Mode | None:
     """How `dominator` dominates `dominated` payoff-wise, or None if it does not."""
     better = tied = False
     for a, b in zip(dominated, dominator):
@@ -123,9 +140,10 @@ def _dominance_mode(dominated: Sequence[Rat], dominator: Sequence[Rat]) -> Mode 
 
 
 def _dominance_pairs(
-    u1: Sequence[Sequence[Rat]], u2: Sequence[Sequence[Rat]]
+    u1: Sequence[Sequence[int]], u2: Sequence[Sequence[int]]
 ) -> Iterator[tuple[Player, int, int, Mode]]:
-    """Every dominated pair as (player, dominated, dominator, strongest mode).
+    """Every dominated pair of integer payoffs as (player, dominated,
+    dominator, strongest mode).
 
     Pairs come in (player, dominated, dominator) order; mode is "strict" when
     the dominator pays more against every opponent strategy, else "weak".
@@ -140,9 +158,10 @@ def dominance_facts(g: Game, mode: Mode) -> list[DominanceFact]:
     """Every (dominated, dominator) pair per player, ordered by indices."""
     if mode not in ("strict", "weak"):
         raise ValueError("mode must be 'strict' or 'weak'")
+    _, u1, u2 = integer_payoffs(g)
     return [
         DominanceFact(player, a, b, mode)
-        for player, a, b, found in _dominance_pairs(g.u1, g.u2)
+        for player, a, b, found in _dominance_pairs(u1, u2)
         if mode == "weak" or found == "strict"
     ]
 
@@ -280,18 +299,19 @@ def analyze(
     dominance: bool = True,
 ) -> EquilibriumReport:
     """Run the requested analyses and bundle them into a report."""
+    _, u1, u2 = integer_payoffs(g)
     pure_found: tuple[PureProfile, ...] | None = None
     strict_flags: tuple[bool, ...] | None = None
     if pure:
-        profiles = pure_equilibria(g)
-        pure_found = tuple(profiles)
-        strict_flags = tuple(is_strict(g, p) for p in profiles)
+        cells = _pure_cells(u1, u2)
+        pure_found = tuple(PureProfile(i, j) for i, j, _ in cells)
+        strict_flags = tuple(strict for _, _, strict in cells)
     mixed_found: tuple[MixedProfile, ...] | None = None
     degenerate: bool | None = None
     if mixed:
         found, degenerate = _mixed_or_raise(g)
         mixed_found = tuple(found)
-    facts = tuple(DominanceFact(*pair) for pair in _dominance_pairs(g.u1, g.u2)) if dominance else None
+    facts = tuple(DominanceFact(*pair) for pair in _dominance_pairs(u1, u2)) if dominance else None
     return EquilibriumReport(
         labels1=g.labels1,
         labels2=g.labels2,

@@ -18,8 +18,10 @@ turned into plain records once, with labels resolved, rationals rendered by
 format_rat and each dominance fact a dict. Report JSON is json.dumps of those
 records; table and csv text is rendered from the same records.
 
-A sweep's outcomes are piecewise constant in the weight, so rows with equal
-labels, equilibria and dominance share one outcome record, rendered once.
+A sweep's outcomes are piecewise constant in the weight, so emission works
+per run of equal outcomes: a row equal to the one before reuses its rendered
+outcome, and rows with equal labels, equilibria and dominance share one
+outcome record, rendered once.
 Sweep JSON is spliced from json.dumps(indent=2) fragments, one per distinct
 outcome, re-indented and joined with each row's weight; the bytes are those
 of json.dumps over the per-row records. That is exact because, with an
@@ -360,18 +362,23 @@ def _sweep_lines(rows: Sequence[SweepRow], render: Callable[[dict], _Piece]) -> 
 
     An outcome record holds a row's "equilibria" as [row, col] label lists and
     its "dominance" as fact records. Rows with equal labels, equilibria and
-    dominance share one record, and `render` runs once on it.
+    dominance share one record, and `render` runs once on it. A row equal to
+    the one before reuses its piece (an identity check on the tuples
+    sweep_mixture shares), so the dict is consulted only where runs change.
     """
     rendered: dict[tuple, _Piece] = {}
     lines = []
+    last = piece = None
     for row in rows:
         key = (row.labels, row.equilibria, row.dominance)
-        piece = rendered.get(key)
-        if piece is None:
-            piece = rendered[key] = render({
-                "equilibria": [[r, c] for r, c in row.equilibria],
-                "dominance": [_fact_record(f, row.labels, row.labels) for f in row.dominance],
-            })
+        if key != last:
+            last = key
+            piece = rendered.get(key)
+            if piece is None:
+                piece = rendered[key] = render({
+                    "equilibria": [[r, c] for r, c in row.equilibria],
+                    "dominance": [_fact_record(f, row.labels, row.labels) for f in row.dominance],
+                })
         lines.append((format_rat(row.w), piece))
     return lines
 

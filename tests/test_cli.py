@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bimatrix
 from bimatrix.cli import main
 from bimatrix.formats import parse_game
 
@@ -339,3 +344,44 @@ class TestHarness:
         first = run("solve", pd_file, "--format", "csv")
         second = run("solve", pd_file, "--format", "csv")
         assert first == second
+
+
+ACCENT_DOC = """\
+game accents
+rows é b
+cols x
+payoffs
+é : 1 0
+b : 0 0
+"""
+
+
+class TestStdoutEncoding:
+    """stdout is UTF-8 whatever encoding the environment gives it."""
+
+    @staticmethod
+    def console(args, encoding):
+        env = dict(os.environ, PYTHONIOENCODING=encoding)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(bimatrix.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        return subprocess.run(
+            [sys.executable, "-c", "from bimatrix.cli import run; run()", *args],
+            env=env, capture_output=True, timeout=60,
+        )
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    def test_verify_witness_arrow(self, tmp_path, encoding):
+        path = tmp_path / "pd.game"
+        path.write_text(CLASSICAL_DOC, encoding="utf-8")
+        done = self.console(["verify", str(path), "--profile", "C,C"], encoding)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == "NOT NASH: player 1 deviates C→D, gain 1\n".encode("utf-8")
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    def test_non_ascii_equilibrium_label(self, tmp_path, encoding):
+        path = tmp_path / "accents.game"
+        path.write_text(ACCENT_DOC, encoding="utf-8")
+        done = self.console(["solve", str(path), "--pure"], encoding)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == "pure equilibria:\n  (é, x)  [strict]\n".encode("utf-8")

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bimatrix.core import MixedProfile, PureProfile, make_game
@@ -433,3 +433,111 @@ class TestAnalyze:
         report = analyze(g, pure=False, mixed=False, dominance=True)
         modes = {(f.player, f.dominated, f.dominator): f.mode for f in report.dominance or ()}
         assert modes[(1, 0, 1)] == "weak"
+
+
+def _primes_below(limit: int) -> list[int]:
+    sieve = [True] * limit
+    sieve[:2] = [False, False]
+    for k in range(2, int(limit ** 0.5) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = [False] * len(sieve[k * k::k])
+    return [k for k, prime in enumerate(sieve) if prime]
+
+
+PRIMES = _primes_below(10**4)
+
+
+def _tie_heavy_games(max_side: int = 5):
+    """Games whose entries mostly repeat a few values: zeros, negatives, and
+    large numerators over distinct primes up to 10^4, so the denominators are
+    pairwise coprime and their LCM is huge."""
+
+    @st.composite
+    def build(draw):
+        rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+        fresh = st.builds(
+            Fraction, st.integers(-10**12, 10**12), st.sampled_from(PRIMES)
+        ) | st.just(Fraction(0)) | st.builds(Fraction, st.integers(-3, 3))
+        pool = draw(st.lists(fresh, min_size=1, max_size=4))
+        entry = st.sampled_from(pool) | fresh
+        matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+        return make_game(
+            [f"r{i}" for i in range(rows)], [f"c{j}" for j in range(cols)], draw(matrix), draw(matrix)
+        )
+
+    return build()
+
+
+def _reference_analysis(g):
+    """Pure equilibria, strictness and dominance by plain Fraction scans.
+
+    Shares no code with the solver: every condition is read off the payoff
+    definitions, one comparison of the original Fractions at a time.
+    """
+    u1, u2 = g.u1, g.u2
+    rows, cols = len(u1), len(u1[0])
+    pure, strict = [], []
+    for i in range(rows):
+        for j in range(cols):
+            if all(u1[k][j] <= u1[i][j] for k in range(rows)) and all(
+                u2[i][k] <= u2[i][j] for k in range(cols)
+            ):
+                pure.append(PureProfile(i, j))
+                strict.append(
+                    all(u1[k][j] < u1[i][j] for k in range(rows) if k != i)
+                    and all(u2[i][k] < u2[i][j] for k in range(cols) if k != j)
+                )
+    facts = []
+    for player, count, others, pay in (
+        (1, rows, cols, lambda own, other: u1[own][other]),
+        (2, cols, rows, lambda own, other: u2[other][own]),
+    ):
+        for a in range(count):
+            for b in range(count):
+                if a == b:
+                    continue
+                gaps = [pay(b, o) - pay(a, o) for o in range(others)]
+                if all(gap > 0 for gap in gaps):
+                    facts.append(DominanceFact(player, a, b, "strict"))
+                elif all(gap >= 0 for gap in gaps) and any(gap > 0 for gap in gaps):
+                    facts.append(DominanceFact(player, a, b, "weak"))
+    return pure, strict, facts
+
+
+class TestIntegerComparisonOracle:
+    @settings(deadline=None)
+    @given(g=_tie_heavy_games())
+    def test_pure_strict_and_dominance_match_fraction_reference(self, g):
+        pure, strict, facts = _reference_analysis(g)
+        assert pure_equilibria(g) == pure
+        assert [is_strict(g, p) for p in pure] == strict
+        assert dominance_facts(g, "strict") == [f for f in facts if f.mode == "strict"]
+        assert dominance_facts(g, "weak") == [
+            DominanceFact(f.player, f.dominated, f.dominator, "weak") for f in facts
+        ]
+        assert analyze(g, mixed=False) == EquilibriumReport(
+            g.labels1, g.labels2, pure=tuple(pure), strict=tuple(strict), dominance=tuple(facts)
+        )
+
+    def test_pure_and_dominance_make_no_fraction_comparison(self, monkeypatch):
+        rng = random.Random(12)
+        g = make_game(
+            [f"r{i}" for i in range(12)], [f"c{j}" for j in range(12)],
+            *([[Fraction(rng.randint(-99, 99), rng.choice((1, 2, 3, 4))) for _ in range(12)]
+               for _ in range(12)] for _ in range(2)),
+        )
+        calls = []
+        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+            original = getattr(Fraction, name)
+
+            def counted(a, b, original=original, name=name):
+                calls.append(name)
+                return original(a, b)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        assert Fraction(1, 2) < Fraction(2, 3) and calls == ["__lt__"]
+        calls.clear()
+        pure_equilibria(g)
+        dominance_facts(g, "strict")
+        dominance_facts(g, "weak")
+        assert calls == []

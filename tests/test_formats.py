@@ -548,6 +548,25 @@ class TestSweepEmission:
     def test_empty_row_list_emits_header_only(self):
         assert emit_report([], "csv") == "w,equilibria,dominance\n"
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_fact_hashes_do_not_grow_with_steps(self, monkeypatch, fmt):
+        # Rows in a run of one outcome reuse its rendering without hashing it,
+        # so the count is set by the three outcomes, not by the row count.
+        short, long = sweep_mixture(PdParams(), 10), sweep_mixture(PdParams(), 1000)
+        calls = []
+        original = DominanceFact.__hash__
+
+        def counted(fact):
+            calls.append(fact)
+            return original(fact)
+
+        monkeypatch.setattr(DominanceFact, "__hash__", counted)
+        emit_report(short, fmt)
+        hashed_short = len(calls)
+        calls.clear()
+        emit_report(long, fmt)
+        assert hashed_short > 0 and len(calls) == hashed_short
+
 
 def _oracle_sweep_text(rows, fmt):
     """Sweep text built row by row with json, csv and str only (no formats helper)."""
