@@ -230,10 +230,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Labels and verify's arrow may be missing from the locale's encoding;
-    # game files are read as UTF-8 too.
-    if hasattr(sys.stdout, "reconfigure"):
-        sys.stdout.reconfigure(encoding="utf-8")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -256,6 +252,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    # Labels and verify's arrow may be missing from the locale's encoding;
+    # game files are read as UTF-8 too. Only the console script does this, so
+    # main(argv) leaves a caller's stdout as it found it.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     raise SystemExit(main())
 
 

@@ -92,26 +92,31 @@ def is_nash(g: Game, p: PureProfile) -> bool:
     return p.i in best_responses(g, 1, p.j) and p.j in best_responses(g, 2, p.i)
 
 
+def _strict_at(u1: Sequence[Sequence], u2: Sequence[Sequence], i: int, j: int) -> bool:
+    """True iff u1[i][j] beats every other payoff in its column of u1 and
+    u2[i][j] every other payoff in its row of u2.
+
+    That is a strict equilibrium: both best-response sets are singletons. It
+    is exact on Fraction payoffs and on core.integer_payoffs alike.
+    """
+    v1, v2 = u1[i][j], u2[i][j]
+    return all(row[j] < v1 for k, row in enumerate(u1) if k != i) and all(
+        v < v2 for k, v in enumerate(u2[i]) if k != j
+    )
+
+
 def is_strict(g: Game, p: PureProfile) -> bool:
     """True iff p is an equilibrium and both best-response sets are singletons."""
     check_profile(g, p)
-    return best_responses(g, 1, p.j) == {p.i} and best_responses(g, 2, p.i) == {p.j}
+    return _strict_at(g.u1, g.u2, p.i, p.j)
 
 
-def _pure_cells(
-    u1: Sequence[Sequence[int]], u2: Sequence[Sequence[int]]
-) -> list[tuple[int, int, bool]]:
-    """(row, column, strict) per pure equilibrium of integer payoffs, in
-    lexicographic order, in O(mn).
-
-    An equilibrium is strict when its payoff is the only best one in its
-    column of u1 and in its row of u2.
-    """
-    columns = list(zip(*u1))
-    col_best = [max(column) for column in columns]
+def _pure_profiles(u1: Sequence[Sequence[int]], u2: Sequence[Sequence[int]]) -> list[PureProfile]:
+    """The pure equilibria of integer payoffs, in lexicographic order, in O(mn)."""
+    col_best = [max(column) for column in zip(*u1)]
     row_best = [max(row) for row in u2]
     return [
-        (i, j, columns[j].count(v1) == 1 and row2.count(v2) == 1)
+        PureProfile(i, j)
         for i, (row1, row2) in enumerate(zip(u1, u2))
         for j, (v1, v2) in enumerate(zip(row1, row2))
         if v1 == col_best[j] and v2 == row_best[i]
@@ -121,7 +126,7 @@ def _pure_cells(
 def pure_equilibria(g: Game) -> list[PureProfile]:
     """All pure equilibria, in lexicographic (row, column) order, in O(mn)."""
     _, u1, u2 = integer_payoffs(g)
-    return [PureProfile(i, j) for i, j, _ in _pure_cells(u1, u2)]
+    return _pure_profiles(u1, u2)
 
 
 def _dominance_mode(dominated: Sequence[int], dominator: Sequence[int]) -> Mode | None:
@@ -303,9 +308,8 @@ def analyze(
     pure_found: tuple[PureProfile, ...] | None = None
     strict_flags: tuple[bool, ...] | None = None
     if pure:
-        cells = _pure_cells(u1, u2)
-        pure_found = tuple(PureProfile(i, j) for i, j, _ in cells)
-        strict_flags = tuple(strict for _, _, strict in cells)
+        pure_found = tuple(_pure_profiles(u1, u2))
+        strict_flags = tuple(_strict_at(u1, u2, p.i, p.j) for p in pure_found)
     mixed_found: tuple[MixedProfile, ...] | None = None
     degenerate: bool | None = None
     if mixed:

@@ -19,11 +19,10 @@ format_rat and each dominance fact a dict. Report JSON is json.dumps of those
 records; table and csv text is rendered from the same records.
 
 A sweep's outcomes are piecewise constant in the weight, so emission works
-per run of equal outcomes: a row equal to the one before reuses its rendered
-outcome, and rows with equal labels, equilibria and dominance share one
-outcome record, rendered once.
-Sweep JSON is spliced from json.dumps(indent=2) fragments, one per distinct
-outcome, re-indented and joined with each row's weight; the bytes are those
+per run of equal outcomes: each run's outcome record is rendered once, and
+every row of the run reuses that rendering.
+Sweep JSON is spliced from json.dumps(indent=2) fragments, one per run,
+re-indented and joined with each row's weight; the bytes are those
 of json.dumps over the per-row records. That is exact because, with an
 indent and the default ensure_ascii, json.dumps escapes every control
 character inside strings, so each newline it writes is structural.
@@ -358,27 +357,23 @@ def _report_text(record: dict, format: str) -> str:
 
 
 def _sweep_lines(rows: Sequence[SweepRow], render: Callable[[dict], _Piece]) -> list[tuple[str, _Piece]]:
-    """(w text, rendered outcome) per sweep row, rendering each distinct outcome once.
+    """(w text, rendered outcome) per sweep row, rendering each run of equal rows once.
 
     An outcome record holds a row's "equilibria" as [row, col] label lists and
-    its "dominance" as fact records. Rows with equal labels, equilibria and
-    dominance share one record, and `render` runs once on it. A row equal to
-    the one before reuses its piece (an identity check on the tuples
-    sweep_mixture shares), so the dict is consulted only where runs change.
+    its "dominance" as fact records. A row whose labels, equilibria and
+    dominance equal the previous row's reuses its piece; on the tuples
+    sweep_mixture shares between rows, that comparison ends at identity.
     """
-    rendered: dict[tuple, _Piece] = {}
     lines = []
     last = piece = None
     for row in rows:
         key = (row.labels, row.equilibria, row.dominance)
         if key != last:
             last = key
-            piece = rendered.get(key)
-            if piece is None:
-                piece = rendered[key] = render({
-                    "equilibria": [[r, c] for r, c in row.equilibria],
-                    "dominance": [_fact_record(f, row.labels, row.labels) for f in row.dominance],
-                })
+            piece = render({
+                "equilibria": [[r, c] for r, c in row.equilibria],
+                "dominance": [_fact_record(f, row.labels, row.labels) for f in row.dominance],
+            })
         lines.append((format_rat(row.w), piece))
     return lines
 
@@ -410,7 +405,7 @@ def _outcome_json(outcome: dict) -> str:
 
 def _sweep_json(rows: Sequence[SweepRow]) -> str:
     """json.dumps(records, indent=2) + "\n" over the row records, spliced from
-    one fragment per distinct outcome (see the module docstring for why the
+    one fragment per run of equal outcomes (see the module docstring for why the
     bytes are the same)."""
     lines = _sweep_lines(rows, _outcome_json)
     if not lines:

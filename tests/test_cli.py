@@ -370,6 +370,12 @@ class TestStdoutEncoding:
             env=env, capture_output=True, timeout=60,
         )
 
+    def test_main_leaves_caller_stdout_alone(self, monkeypatch):
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="latin-1", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["pd"]) == 0
+        assert (stdout.encoding, stdout.errors) == ("latin-1", "surrogateescape")
+
     @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
     def test_verify_witness_arrow(self, tmp_path, encoding):
         path = tmp_path / "pd.game"
