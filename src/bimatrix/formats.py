@@ -15,17 +15,17 @@ minus and no decimals, so values survive round trips bit-exactly.
 
 Reports pass through one record layer: an equilibrium report or a sweep is
 turned into plain records once, with labels resolved, rationals rendered by
-format_rat and each dominance fact a dict. Report JSON is json.dumps of those
-records; table and csv text is rendered from the same records.
+format_rat and each dominance fact a dict. Table and csv text is rendered from
+those records, and JSON text by one writer, _json_value. For records of str,
+int, bool, None, list and dict it writes the bytes of json.dumps(obj,
+indent=2), quoting strings with json's C encode_basestring_ascii; any other
+type, a float or a tuple among them, raises TypeError.
 
 A sweep's outcomes are piecewise constant in the weight, so emission works
-per run of equal outcomes: each run's outcome record is rendered once, and
-every row of the run reuses that rendering.
-Sweep JSON is spliced from json.dumps(indent=2) fragments, one per run,
-re-indented and joined with each row's weight; the bytes are those
-of json.dumps over the per-row records. That is exact because, with an
-indent and the default ensure_ascii, json.dumps escapes every control
-character inside strings, so each newline it writes is structural.
+per run of equal outcomes: each run's outcome is rendered once, as the members
+of a JSON row object or as the last two fields of a csv row, and every row of
+the run joins that fragment with its weight. The weight needs no quoting in
+either format: format_rat writes only digits, '-' and '/'.
 
 All emitters are deterministic: equal inputs give byte-identical output.
 """
@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Sequence, TypeVar
 
 from .core import Game, Rat, make_game
@@ -46,7 +46,7 @@ from .equilibrium import DominanceFact, EquilibriumReport
 
 FORMATS = ("table", "csv", "json")
 
-_RAT_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RAT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _TOKEN_RE = re.compile(r"\S+")
 
 _Piece = TypeVar("_Piece")
@@ -72,14 +72,15 @@ class GameDocument:
 
 def parse_rat(text: str) -> Rat:
     """Parse the file format's rational literal grammar ("a" or "a/b")."""
-    if not _RAT_RE.fullmatch(text):
+    match = _RAT_RE.fullmatch(text)
+    if match is None:
         raise ValueError(f"invalid rational literal {text!r}")
-    if "/" in text:
-        num_text, den_text = text.split("/")
-        if int(den_text) == 0:
-            raise ValueError(f"zero denominator in rational literal {text!r}")
-        return Fraction(int(num_text), int(den_text))
-    return Fraction(int(text))
+    num_text, den_text = match.groups()
+    if den_text is None:
+        return Fraction(int(num_text))
+    if int(den_text) == 0:
+        raise ValueError(f"zero denominator in rational literal {text!r}")
+    return Fraction(int(num_text), int(den_text))
 
 
 def format_rat(value: Rat) -> str:
@@ -87,49 +88,50 @@ def format_rat(value: Rat) -> str:
     return str(value) if type(value) is Fraction else str(Fraction(value))
 
 
-def _significant_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            out.append((number, raw))
-    return out
-
-
-def _tokenize(line: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
+def _column(raw: str, index: int) -> int:
+    """1-based character column of the index-th whitespace-separated token of raw."""
+    return [m.start() for m in _TOKEN_RE.finditer(raw)][index] + 1
 
 
 class _Cursor:
-    def __init__(self, text: str):
-        self.lines = _significant_lines(text)
-        self.pos = 0
-        self.end_line = len(text.splitlines()) + 1
+    """The significant lines of a document, each split into tokens once.
 
-    def next_line(self, expectation: str) -> tuple[int, list[tuple[str, int]]]:
+    Comment and blank lines are skipped. A ParseError points at a token by its
+    index, and its column is found in the raw line only then.
+    """
+
+    def __init__(self, text: str):
+        raws = text.splitlines()
+        self.lines = [
+            (number, raw, tokens)
+            for number, raw in enumerate(raws, start=1)
+            if (tokens := raw.split()) and not tokens[0].startswith("#")
+        ]
+        self.pos = 0
+        self.end_line = len(raws) + 1
+
+    def next_line(self, expectation: str) -> list[str]:
         if self.pos >= len(self.lines):
             raise ParseError(self.end_line, 1, f"unexpected end of file: expected {expectation}")
-        number, raw = self.lines[self.pos]
+        self.line, self.raw, tokens = self.lines[self.pos]
         self.pos += 1
-        return number, _tokenize(raw)
+        return tokens
 
-    def peek(self) -> tuple[int, list[tuple[str, int]]] | None:
-        if self.pos >= len(self.lines):
-            return None
-        number, raw = self.lines[self.pos]
-        return number, _tokenize(raw)
+    def error(self, index: int, reason: str) -> ParseError:
+        """A ParseError at the index-th token of the line next_line returned last."""
+        return ParseError(self.line, _column(self.raw, index), reason)
 
 
 def _labels_line(cursor: _Cursor, keyword: str, player: int) -> list[str]:
-    line, tokens = cursor.next_line(f"'{keyword} <label> ...'")
-    if tokens[0][0] != keyword:
-        raise ParseError(line, tokens[0][1], f"expected '{keyword} <label> ...'")
+    tokens = cursor.next_line(f"'{keyword} <label> ...'")
+    if tokens[0] != keyword:
+        raise cursor.error(0, f"expected '{keyword} <label> ...'")
     if len(tokens) < 2:
-        raise ParseError(line, tokens[0][1], f"player {player} needs at least one strategy label")
+        raise cursor.error(0, f"player {player} needs at least one strategy label")
     labels: list[str] = []
-    for text, column in tokens[1:]:
+    for index, text in enumerate(tokens[1:], start=1):
         if text in labels:
-            raise ParseError(line, column, f"duplicate strategy label {text!r} for player {player}")
+            raise cursor.error(index, f"duplicate strategy label {text!r} for player {player}")
         labels.append(text)
     return labels
 
@@ -161,57 +163,48 @@ def parse_game(text: str) -> GameDocument:
                 )
     cursor = _Cursor(text)
 
-    line, tokens = cursor.next_line("'game <name>' header")
-    if tokens[0][0] != "game":
-        raise ParseError(line, tokens[0][1], "expected 'game <name>' header")
+    tokens = cursor.next_line("'game <name>' header")
+    if tokens[0] != "game":
+        raise cursor.error(0, "expected 'game <name>' header")
     if len(tokens) != 2:
-        raise ParseError(line, tokens[-1][1], "header must be exactly 'game <name>'")
-    name = tokens[1][0]
+        raise cursor.error(-1, "header must be exactly 'game <name>'")
+    name = tokens[1]
 
     labels1 = _labels_line(cursor, "rows", 1)
     labels2 = _labels_line(cursor, "cols", 2)
 
-    line, tokens = cursor.next_line("'payoffs' section")
-    if tokens[0][0] != "payoffs" or len(tokens) != 1:
-        raise ParseError(line, tokens[0][1], "expected 'payoffs' on a line of its own")
+    tokens = cursor.next_line("'payoffs' section")
+    if tokens[0] != "payoffs" or len(tokens) != 1:
+        raise cursor.error(0, "expected 'payoffs' on a line of its own")
 
     u1: list[list[Rat]] = []
     u2: list[list[Rat]] = []
+    expected = 2 * len(labels2)
     for label in labels1:
-        line, tokens = cursor.next_line(f"payoff row for strategy {label!r}")
-        if tokens[0][0] != label:
-            raise ParseError(
-                line, tokens[0][1],
-                f"expected payoff row for strategy {label!r}, found {tokens[0][0]!r}",
-            )
-        if len(tokens) < 2 or tokens[1][0] != ":":
-            column = tokens[1][1] if len(tokens) > 1 else tokens[0][1]
-            raise ParseError(line, column, f"expected ':' after row label {label!r}")
+        tokens = cursor.next_line(f"payoff row for strategy {label!r}")
+        if tokens[0] != label:
+            raise cursor.error(0, f"expected payoff row for strategy {label!r}, found {tokens[0]!r}")
+        if len(tokens) < 2 or tokens[1] != ":":
+            raise cursor.error(1 if len(tokens) > 1 else 0, f"expected ':' after row label {label!r}")
         cells = tokens[2:]
-        expected = 2 * len(labels2)
         if len(cells) != expected:
-            if len(cells) > expected:
-                column = cells[expected][1]
-            else:
-                column = cells[-1][1] if cells else tokens[1][1]
-            raise ParseError(
-                line, column,
+            raise cursor.error(
+                2 + expected if len(cells) > expected else len(tokens) - 1,
                 f"row {label!r} must have {len(labels2)} payoff cells "
                 f"({expected} rationals), found {len(cells)} rationals",
             )
         values: list[Rat] = []
-        for cell_text, column in cells:
+        for index, cell in enumerate(cells, start=2):
             try:
-                values.append(parse_rat(cell_text))
+                values.append(parse_rat(cell))
             except ValueError as exc:
-                raise ParseError(line, column, str(exc)) from None
+                raise cursor.error(index, str(exc)) from None
         u1.append(values[0::2])
         u2.append(values[1::2])
 
-    extra = cursor.peek()
-    if extra is not None:
-        line, tokens = extra
-        raise ParseError(line, tokens[0][1], "unexpected content after the payoff rows")
+    if cursor.pos < len(cursor.lines):
+        line, raw, _ = cursor.lines[cursor.pos]
+        raise ParseError(line, _column(raw, 0), "unexpected content after the payoff rows")
 
     return GameDocument(name=name, game=make_game(labels1, labels2, u1, u2))
 
@@ -261,8 +254,41 @@ def game_to_json(g: Game, name: str) -> str:
     })
 
 
+def _json_value(obj: object, newline: str) -> str:
+    """json.dumps(obj, indent=2) of a value nested at the depth of newline.
+
+    newline starts a line at the value's own depth: "\n" plus two spaces per
+    level. See the module docstring for the types this writes.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is list:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return f"[{inner}" + f",{inner}".join([_json_value(item, inner) for item in obj]) + f"{newline}]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return f"{{{inner}{_json_members(obj, inner)}{newline}}}"
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return repr(obj)
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
+def _json_members(obj: dict, newline: str) -> str:
+    """The members of a JSON object, each on a line that newline starts."""
+    return f",{newline}".join([f"{_quote(key)}: {_json_value(value, newline)}" for key, value in obj.items()])
+
+
 def _json_text(obj: object) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return _json_value(obj, "\n") + "\n"
 
 
 def _csv_text(rows: Sequence[Sequence[str]]) -> str:
@@ -387,9 +413,10 @@ def _outcome_cells(outcome: dict) -> tuple[str, str]:
 
 def _sweep_text(rows: Sequence[SweepRow], format: str) -> str:
     """Table or csv text of a sweep: one line per weight, in three columns."""
-    grid = [("w", ("equilibria", "dominance")), *_sweep_lines(rows, _outcome_cells)]
     if format == "csv":
-        return _csv_text([(w, *cells) for w, cells in grid])
+        lines = _sweep_lines(rows, lambda outcome: _csv_text([_outcome_cells(outcome)]))
+        return "w,equilibria,dominance\n" + "".join([f"{w},{fragment}" for w, fragment in lines])
+    grid = [("w", ("equilibria", "dominance")), *_sweep_lines(rows, _outcome_cells)]
     distinct = {cells for _, cells in grid}
     widths = [max(map(len, column)) for column in zip(*distinct)]
     tails = {cells: "  ".join(cell.ljust(width) for cell, width in zip(cells, widths)) for cells in distinct}
@@ -397,20 +424,13 @@ def _sweep_text(rows: Sequence[SweepRow], format: str) -> str:
     return "".join(f"{w.ljust(w_width)}  {tails[cells]}".rstrip() + "\n" for w, cells in grid)
 
 
-def _outcome_json(outcome: dict) -> str:
-    # The members of json.dumps(outcome, indent=2), re-indented one level
-    # deeper to sit inside a row object of the sweep's top-level array.
-    return "  " + json.dumps(outcome, indent=2)[2:-2].replace("\n", "\n  ")
-
-
 def _sweep_json(rows: Sequence[SweepRow]) -> str:
-    """json.dumps(records, indent=2) + "\n" over the row records, spliced from
-    one fragment per run of equal outcomes (see the module docstring for why the
-    bytes are the same)."""
-    lines = _sweep_lines(rows, _outcome_json)
+    """_json_text of the row records, each row spliced from its weight and the
+    members its run rendered once."""
+    lines = _sweep_lines(rows, lambda outcome: _json_members(outcome, "\n    "))
     if not lines:
-        return _json_text([])
-    body = ",\n".join(f'  {{\n    "w": {json.dumps(w)},\n{piece}\n  }}' for w, piece in lines)
+        return "[]\n"
+    body = ",\n".join([f'  {{\n    "w": "{w}",\n    {members}\n  }}' for w, members in lines])
     return f"[\n{body}\n]\n"
 
 

@@ -8,10 +8,11 @@ import io
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bimatrix.core import make_game
@@ -20,6 +21,7 @@ from bimatrix.equilibrium import DominanceFact, analyze
 from bimatrix.formats import (
     GameDocument,
     ParseError,
+    _json_text,
     emit_report,
     format_rat,
     game_to_json,
@@ -38,6 +40,11 @@ payoffs
 C : -1 -1  -5 0
 D : 0 -5  -4 -4
 """
+
+# Every character str.isspace() accepts, and those that str.splitlines() does
+# not break a line at, so they can separate tokens inside one line.
+_SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+_INLINE_SPACES = "".join(c for c in _SPACES if len(f"a{c}b".splitlines()) == 1)
 
 
 class TestParseRat:
@@ -170,6 +177,29 @@ class TestParseGame:
             parse_game(text)
         assert err.value.line == 6
 
+    @pytest.mark.parametrize("space", _SPACES, ids=lambda c: f"U+{ord(c):04X}")
+    def test_str_split_tokens_equal_regex_tokens(self, space):
+        for sep in (space, space * 3, f"{space}\t{space}", _SPACES):
+            line = f"{sep}C{sep}:{sep}-1{sep}1/2{sep}é{sep}"
+            assert line.split() == re.findall(r"\S+", line)
+
+    @pytest.mark.parametrize("space", _INLINE_SPACES, ids=lambda c: f"U+{ord(c):04X}")
+    @pytest.mark.parametrize(
+        "old,new,offender",
+        [
+            ("C : -1 -1  -5 0", "{s}C{s}:{s}{s}-1{s}-1{s}-5{s}0.75{s}", "0.75"),
+            ("C : -1 -1  -5 0", "C{s}:{s}-1{s}-1{s}-5{s}0{s}{s}9", "9"),
+            ("rows C D", "rows{s}C{s}{s}D{s}D", "D"),
+            ("game classical_pd", "{s}game{s}{s}g{s}extra", "extra"),
+            ("D : 0 -5  -4 -4", "D{s}{s}0{s}-5{s}-4{s}-4", "0"),
+        ],
+    )
+    def test_error_column_counts_characters_across_unicode_spaces(self, space, old, new, offender):
+        line = new.replace("{s}", space)
+        with pytest.raises(ParseError) as err:
+            parse_game(CLASSICAL_DOC.replace(old, line))
+        assert err.value.column == line.rindex(offender) + 1
+
 
 class TestSerializeGame:
     def test_classical_document_is_canonical(self):
@@ -230,6 +260,30 @@ class TestGameJson:
         assert payload["labels1"] == ["C", "D"]
         assert payload["u1"][0] == ["-1", "-5"]
         assert payload["u2"][1] == ["-5", "-4"]
+
+
+# Characters json escapes (control characters, '"', '\\', U+2028), non-BMP and
+# lone surrogates, drawn among arbitrary ones.
+_JSON_TEXT = st.text(st.sampled_from("\x00\x1f\x7f\"\\/\u2028\u2029\U0001F600\ud800\udcffé沈") | st.characters())
+_JSON_RECORDS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | _JSON_TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @given(_JSON_RECORDS)
+    @example([])
+    @example({})
+    @example({"": [[], {}, [{}]], "\ud800": {"a": None}})
+    def test_bytes_equal_json_dumps_indent_2(self, record):
+        assert _json_text(record) == json.dumps(record, indent=2) + "\n"
+
+    @pytest.mark.parametrize("record", [1.5, (1, 2), [["a"], ("b",)], {"x": {"y": 0.5}}, {1: "a"}])
+    def test_other_types_raise_type_error(self, record):
+        with pytest.raises(TypeError):
+            _json_text(record)
 
 
 REPORT_CSV = """\
@@ -608,8 +662,11 @@ def _oracle_sweep_text(rows, fmt):
 
 
 # Labels that JSON must escape (quotes, backslashes, control and non-ASCII
-# characters, U+2028) and that csv must quote.
-_ODD_LABELS = ("C", "D", "é", "沈黙", 'say "no"', "back\\slash", "a,b", "tab\there", "new\nline", "\u2028")
+# characters, U+2028) and that exercise csv's quoting rules, "\r" and a
+# leading space among them.
+_ODD_LABELS = (
+    "C", "D", "é", "沈黙", 'say "no"', "back\\slash", "a,b", "tab\there", "new\nline", "\u2028", "\r", " lead",
+)
 
 
 @st.composite
@@ -660,6 +717,20 @@ class TestSweepEmissionOracle:
             SweepRow(w, *(_fresh(outcomes[which]) if fresh else outcomes[which]))
             for w, (which, fresh) in zip(weights, pattern)
         ]
+        for fmt in ("table", "csv", "json"):
+            assert emit_report(rows, fmt) == _oracle_sweep_text(rows, fmt)
+
+    @settings(deadline=None)
+    @given(
+        other=_outcomes(),
+        pattern=st.lists(st.booleans(), min_size=1, max_size=6),
+        weights=st.lists(st.fractions(), min_size=6, max_size=6),
+    )
+    def test_outcome_without_equilibria_or_dominance(self, other, pattern, weights):
+        # A True flag is a row with no equilibria and no dominance: its csv
+        # fields are both empty and its JSON members two empty lists.
+        empty = (other[0], (), ())
+        rows = [SweepRow(w, *(empty if flag else other)) for w, flag in zip(weights, pattern)]
         for fmt in ("table", "csv", "json"):
             assert emit_report(rows, fmt) == _oracle_sweep_text(rows, fmt)
 
