@@ -14,6 +14,14 @@ caller-chosen semantics:
   entry is the worst case (pessimistic) or best case (optimistic) of that
   player's own payoff over all resolutions.
 
+Both semantics come down to one twin rule. The C twin of an S-entry is the
+same entry with its last S read as C, and its D twin the same entry with it
+read as D. Under Mixture(w) an S-entry is w times its C twin plus 1 - w times
+its D twin; under Ambiguous it is the smaller (pessimistic) or the larger
+(optimistic) twin. The twins of (S,S) are (S,C) and (S,D), themselves
+S-entries, so (S,S) is the bilinear expectation, or the extreme over all four
+resolutions.
+
 Deleting S recovers the classical game exactly, whatever the semantics.
 """
 
@@ -21,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
-from .core import Game, Rat, as_rat, integer_payoffs, make_game
+from .core import Game, Rat, as_rat, make_game
 from .equilibrium import DominanceFact, dominance_facts, pure_equilibria
 
 Attitude = Literal["pessimistic", "optimistic"]
@@ -113,48 +121,25 @@ def classical_pd(params: PdParams = PdParams()) -> Game:
     return make_game(CLASSICAL_LABELS, CLASSICAL_LABELS, u1, u2)
 
 
-# Resolutions of each generalized strategy into classical indices (C=0, D=1).
-_RESOLUTIONS = ((0,), (1,), (0, 1))
+def _with_silence(u: Sequence[Sequence[Rat]], combine: Callable[[Rat, Rat], Rat]) -> list[list[Rat]]:
+    """Extend a 2x2 C/D block by an S row, then an S column, by the twin rule.
 
-
-def _expectations(u: Sequence[Sequence[int]], p: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """q**2 times the 3x3 expectations of a 2x2 u when S plays C with weight p/q.
-
-    C, D and S weigh the resolutions (C, D) as (q, 0), (0, q) and (p, q - p);
-    entry (a, b) is the sum of wa[ra] * wb[rb] * u[ra][rb].
+    Each new entry is combine(C twin, D twin), so (S,S) combines (S,C) and (S,D).
     """
-    weights = ((q, 0), (0, q), (p, q - p))
-    (cc, cd), (dc, dd) = u
-    return tuple(
-        tuple(ca * (cb * cc + db * cd) + da * (cb * dc + db * dd) for cb, db in weights)
-        for ca, da in weights
-    )
-
-
-def _ambiguous_entry(
-    u: tuple[tuple[Rat, ...], ...], a: int, b: int, attitude: Attitude
-) -> Rat:
-    pick = min if attitude == "pessimistic" else max
-    return pick(
-        u[ra][rb] for ra in _RESOLUTIONS[a] for rb in _RESOLUTIONS[b]
-    )
+    rows = [list(row) for row in u]
+    rows.append([combine(c, d) for c, d in zip(*rows)])
+    return [[*row, combine(*row)] for row in rows]
 
 
 def generalized_pd(params: PdParams, sem: SilenceSemantics) -> Game:
     """The 3x3 game over {C, D, S} whose C/D block equals the classical game."""
     base = classical_pd(params)
     if isinstance(sem, Mixture):
-        scale, *payoffs = integer_payoffs(base)
-        p, q = sem.w.numerator, sem.w.denominator
-        u1, u2 = (
-            [[Fraction(v, scale * q * q) for v in row] for row in _expectations(u, p, q)]
-            for u in payoffs
-        )
+        w, rest = sem.w, 1 - sem.w
+        combine = lambda c, d: w * c + rest * d
     else:
-        u1, u2 = (
-            [[_ambiguous_entry(u, a, b, sem.attitude) for b in range(3)] for a in range(3)]
-            for u in (base.u1, base.u2)
-        )
+        combine = min if sem.attitude == "pessimistic" else max
+    u1, u2 = (_with_silence(u, combine) for u in (base.u1, base.u2))
     return make_game(GENERALIZED_LABELS, GENERALIZED_LABELS, u1, u2)
 
 
@@ -200,10 +185,12 @@ class MixtureCheck:
 def mixture_consistency(g3: Game) -> MixtureCheck:
     """Infer the mixture weight from a 3x3 {C, D, S} game, or refute one.
 
-    Every off-diagonal S-entry must equal the w-convex combination of the
-    matching C and D entries, and both (S,S) entries must equal the bilinear
-    form in w. Entries are scanned in a fixed order (u1 then u2; S-row, then
-    S-column, then S,S) so the reported counterexample is deterministic.
+    Every S-entry must equal w times its C twin plus 1 - w times its D twin
+    (the twin rule in the module docstring). Entries are scanned in a fixed
+    order (u1 then u2, each S-row then S-column, then (S,S) of u1 and of u2)
+    so the reported counterexample is deterministic. The first entry whose
+    twins differ pins the weight; (S,S) only checks it, and as its twins
+    (S,C) and (S,D) were checked before, it checks the bilinear form in w.
     """
     _silence_indices(g3)
     if set(g3.labels1) != {"C", "D", "S"} or set(g3.labels2) != {"C", "D", "S"}:
@@ -214,85 +201,57 @@ def mixture_consistency(g3: Game) -> MixtureCheck:
     rows = {label: g3.labels1.index(label) for label in GENERALIZED_LABELS}
     cols = {label: g3.labels2.index(label) for label in GENERALIZED_LABELS}
 
-    # (entry name, S entry, C entry, D entry) for each off-diagonal constraint:
-    # S entry == w * C entry + (1 - w) * D entry.
-    linear: list[tuple[str, Rat, Rat, Rat]] = []
-    for player, u in ((1, g3.u1), (2, g3.u2)):
-        for other in ("C", "D"):
-            linear.append(
-                (
-                    f"u{player}(S,{other})",
-                    u[rows["S"]][cols[other]],
-                    u[rows["C"]][cols[other]],
-                    u[rows["D"]][cols[other]],
-                )
-            )
-        for own in ("C", "D"):
-            linear.append(
-                (
-                    f"u{player}({own},S)",
-                    u[rows[own]][cols["S"]],
-                    u[rows[own]][cols["C"]],
-                    u[rows[own]][cols["D"]],
-                )
-            )
-
+    order = [(p, a, b) for p in (1, 2) for a, b in (("S", "C"), ("S", "D"), ("C", "S"), ("D", "S"))]
     inferred: Rat | None = None
-    for name, s_val, c_val, d_val in linear:
-        if c_val == d_val:
-            if s_val != d_val:
+    for player, a, b in [*order, (1, "S", "S"), (2, "S", "S")]:
+        u = g3.u1 if player == 1 else g3.u2
+        # The C and D twins read the entry's last S as C, then as D.
+        twins = ((a, "C"), (a, "D")) if b == "S" else (("C", b), ("D", b))
+        name, s_val = f"u{player}({a},{b})", u[rows[a]][cols[b]]
+        c_val, d_val = (u[rows[x]][cols[y]] for x, y in twins)
+        corner = a == b
+        if corner and inferred is not None:
+            expected = inferred * c_val + (1 - inferred) * d_val
+            if s_val != expected:
                 return MixtureCheck(
                     consistent=False,
                     counterexample=(
-                        f"{name} = {s_val} but the C and D entries both equal {d_val}, "
-                        "so no weight can produce it"
-                    ),
-                )
-            continue
-        w = (s_val - d_val) / (c_val - d_val)
-        if inferred is None:
-            if not 0 <= w <= 1:
-                return MixtureCheck(
-                    consistent=False,
-                    counterexample=f"{name} implies weight {w}, outside [0, 1]",
-                )
-            inferred = w
-        elif w != inferred:
-            return MixtureCheck(
-                consistent=False,
-                counterexample=(
-                    f"{name} implies weight {w}, conflicting with the already "
-                    f"inferred weight {inferred}"
-                ),
-            )
-
-    for player, u in ((1, g3.u1), (2, g3.u2)):
-        ss = u[rows["S"]][cols["S"]]
-        cc = u[rows["C"]][cols["C"]]
-        cd = u[rows["C"]][cols["D"]]
-        dc = u[rows["D"]][cols["C"]]
-        dd = u[rows["D"]][cols["D"]]
-        if inferred is not None:
-            w = inferred
-            expected = (
-                w * w * cc + w * (1 - w) * cd + (1 - w) * w * dc + (1 - w) * (1 - w) * dd
-            )
-            if ss != expected:
-                return MixtureCheck(
-                    consistent=False,
-                    counterexample=(
-                        f"u{player}(S,S) = {ss} does not match the bilinear form "
+                        f"{name} = {s_val} does not match the bilinear form "
                         f"{expected} at weight {inferred}"
                     ),
                 )
+        elif c_val == d_val:
+            if s_val == d_val:
+                continue
+            # A corner gets here only when no entry pinned the weight, which
+            # makes every C/D entry of its tensor equal d_val.
+            if corner:
+                return MixtureCheck(
+                    consistent=False,
+                    counterexample=f"{name} = {s_val} but every C/D entry equals {d_val}",
+                )
+            return MixtureCheck(
+                consistent=False,
+                counterexample=(
+                    f"{name} = {s_val} but the C and D entries both equal {d_val}, "
+                    "so no weight can produce it"
+                ),
+            )
         else:
-            # No off-diagonal entry pinned the weight, which forces the whole
-            # C/D block of this tensor to be constant; (S,S) must equal it.
-            if ss != dd:
+            w = (s_val - d_val) / (c_val - d_val)
+            if inferred is None:
+                if not 0 <= w <= 1:
+                    return MixtureCheck(
+                        consistent=False,
+                        counterexample=f"{name} implies weight {w}, outside [0, 1]",
+                    )
+                inferred = w
+            elif w != inferred:
                 return MixtureCheck(
                     consistent=False,
                     counterexample=(
-                        f"u{player}(S,S) = {ss} but every C/D entry equals {dd}"
+                        f"{name} implies weight {w}, conflicting with the already "
+                        f"inferred weight {inferred}"
                     ),
                 )
     if inferred is None:
@@ -318,7 +277,8 @@ def sweep_mixture(params: PdParams, steps: int) -> list[SweepRow]:
 
     The sweep has three outcomes: w = 0, 0 < w < 1 and w = 1. Every valid
     PdParams makes D strictly dominate C, also against S, which mixes C and D.
-    S pays w times C's payoff plus 1 - w times D's against every opponent
+    By the twin rule (module docstring), and by the bilinear form at (S,S), S
+    pays w times C's payoff plus 1 - w times D's against every opponent
     strategy, so D - S = w (D - C) and S - C = (1 - w)(D - C): D strictly
     dominates S for w > 0 and S strictly dominates C for w < 1, for both
     players. So only the games at w = 0, 1/steps and 1 are solved, and rows

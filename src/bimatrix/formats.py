@@ -294,7 +294,17 @@ def _json_text(obj: object) -> str:
 def _csv_text(rows: Sequence[Sequence[str]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
+    for row in rows:
+        try:
+            writer.writerow(row)
+        except csv.Error as exc:
+            # Python 3.10's writer cannot write NUL at all; name the field it rejects.
+            for field in row:
+                try:
+                    writer.writerow([field])
+                except csv.Error:
+                    break
+            raise ValueError(f"cannot write {field!r} as a csv field: {exc}") from None
     return buffer.getvalue()
 
 

@@ -13,6 +13,7 @@ from bimatrix.core import PureProfile, make_game, validate_game
 from bimatrix.dilemma import (
     Ambiguous,
     Mixture,
+    MixtureCheck,
     NotGeneralizedGameError,
     PdParams,
     SweepRow,
@@ -126,6 +127,54 @@ class TestGeneralizedPd:
                     assert low.u1[i][j] <= mid.u1[i][j] <= high.u1[i][j]
                     assert low.u2[i][j] <= mid.u2[i][j] <= high.u2[i][j]
 
+    @settings(deadline=None)
+    @given(
+        free=st.fractions(0, 20, max_denominator=12),
+        gaps=st.lists(st.fractions(Fraction(1, 12), 12, max_denominator=12), min_size=3, max_size=3),
+        sem=st.one_of(
+            st.fractions(0, 1, max_denominator=10**6).map(Mixture),
+            st.sampled_from(["pessimistic", "optimistic"]).map(Ambiguous),
+        ),
+    )
+    @example(free=Fraction(0), gaps=[Fraction(1), Fraction(3), Fraction(1)], sem=Mixture(0))
+    @example(free=Fraction(0), gaps=[Fraction(1), Fraction(3), Fraction(1)], sem=Mixture(1))
+    @example(free=Fraction(1, 3), gaps=[Fraction(1, 2), Fraction(5), Fraction(7, 4)], sem=Mixture(0))
+    @example(free=Fraction(1, 3), gaps=[Fraction(1, 2), Fraction(5), Fraction(7, 4)], sem=Mixture(1))
+    def test_every_entry_follows_the_definition(self, free, gaps, sem):
+        # Straight from the module docstring: C, D and S resolve to C with
+        # weights 1, 0 and w (Mixture), or to the sets {C}, {D} and {C, D}
+        # (Ambiguous); payoffs are negated years.
+        params = PdParams(free, free + gaps[0], free + gaps[0] + gaps[1], free + sum(gaps))
+        free, coop, defect, sucker = (
+            -params.years_free, -params.years_both_coop,
+            -params.years_both_defect, -params.years_sucker,
+        )
+        base1 = [[coop, sucker], [free, defect]]
+        base2 = [[coop, free], [sucker, defect]]
+        if isinstance(sem, Mixture):
+            weights = [(1, 0), (0, 1), (sem.w, 1 - sem.w)]
+            expected = [
+                [
+                    [sum(weights[a][x] * weights[b][y] * base[x][y] for x in (0, 1) for y in (0, 1))
+                     for b in range(3)]
+                    for a in range(3)
+                ]
+                for base in (base1, base2)
+            ]
+        else:
+            resolutions = [(0,), (1,), (0, 1)]
+            pick = min if sem.attitude == "pessimistic" else max
+            expected = [
+                [
+                    [pick(base[x][y] for x in resolutions[a] for y in resolutions[b]) for b in range(3)]
+                    for a in range(3)
+                ]
+                for base in (base1, base2)
+            ]
+        g = generalized_pd(params, sem)
+        assert g.labels1 == g.labels2 == ("C", "D", "S")
+        assert [[list(row) for row in u] for u in (g.u1, g.u2)] == expected
+
     def test_invalid_weight_rejected(self):
         with pytest.raises(ValueError):
             Mixture(Fraction(7, 3))
@@ -218,6 +267,91 @@ class TestMixtureConsistency:
         check = mixture_consistency(make_game(["C", "D", "S"], ["C", "D", "S"], u1, u2))
         assert not check.consistent
         assert "outside [0, 1]" in (check.counterexample or "")
+
+    @pytest.mark.parametrize(
+        "labels1, labels2, u1, u2, expected",
+        [
+            pytest.param(
+                "SCD", "DSC",
+                [[-9, -5, -1], [-10, -6, -2], [-8, -4, 0]],
+                [[-4, -5, -6], [0, -1, -2], [-8, -9, -10]],
+                MixtureCheck(consistent=True, w=Fraction(1, 2)),
+                id="weight-permuted-labels",
+            ),
+            pytest.param(
+                "CDS", "CDS", [[5] * 3] * 3, [[7] * 3] * 3,
+                MixtureCheck(consistent=True, any_weight=True),
+                id="any-weight",
+            ),
+            pytest.param(
+                "CDS", "CDS", [[1, 2, 3], [1, 4, 5], [6, 7, 8]], [[0] * 3] * 3,
+                MixtureCheck(
+                    consistent=False,
+                    counterexample=(
+                        "u1(S,C) = 6 but the C and D entries both equal 1, "
+                        "so no weight can produce it"
+                    ),
+                ),
+                id="twins-equal",
+            ),
+            pytest.param(
+                "CDS", "CDS", [[-1, -5, 0], [0, -4, 0], [-2, -6, 0]], [[0] * 3] * 3,
+                MixtureCheck(
+                    consistent=False,
+                    counterexample="u1(S,C) implies weight 2, outside [0, 1]",
+                ),
+                id="outside-unit-interval",
+            ),
+            pytest.param(
+                "DSC", "SCD",
+                [[-4, 0, -4], [-5, -1, -5], [-5, -1, -5]],
+                [[-5, -5, -4], [-5, -5, -4], [-1, -1, 0]],
+                MixtureCheck(
+                    consistent=False,
+                    counterexample=(
+                        "u1(C,S) implies weight 0, conflicting with the "
+                        "already inferred weight 1"
+                    ),
+                ),
+                id="conflicting-weight-pessimistic-permuted",
+            ),
+            pytest.param(
+                "CDS", "CDS",
+                [[-2, -10, -6], [0, -8, -4], [-1, -9, -5]],
+                [[-2, 0, -1], [-10, -8, -9], [-6, -4, -4]],
+                MixtureCheck(
+                    consistent=False,
+                    counterexample=(
+                        "u2(S,S) = -4 does not match the bilinear form -5 at weight 1/2"
+                    ),
+                ),
+                id="corner-bilinear",
+            ),
+            pytest.param(
+                "CDS", "CDS",
+                [[5, 5, 5], [5, 5, 5], [5, 5, 6]],
+                [[-2, 0, -1], [-10, -8, -9], [-6, -4, -5]],
+                MixtureCheck(
+                    consistent=False,
+                    counterexample=(
+                        "u1(S,S) = 6 does not match the bilinear form 5 at weight 1/2"
+                    ),
+                ),
+                id="corner-constant-block-other-player-weighted",
+            ),
+            pytest.param(
+                "CDS", "CDS", [[5, 5, 5], [5, 5, 5], [5, 5, 6]], [[7] * 3] * 3,
+                MixtureCheck(
+                    consistent=False,
+                    counterexample="u1(S,S) = 6 but every C/D entry equals 5",
+                ),
+                id="corner-constant-block",
+            ),
+        ],
+    )
+    def test_whole_check_per_outcome(self, labels1, labels2, u1, u2, expected):
+        g = make_game(list(labels1), list(labels2), u1, u2)
+        assert mixture_consistency(g) == expected
 
     def test_wrong_labels_rejected(self):
         g = make_game(["A", "B", "S"], ["A", "B", "S"], [[0] * 3] * 3, [[0] * 3] * 3)
