@@ -29,15 +29,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal, Sequence, TypeVar
 
-from .core import Game, Rat, as_rat, make_game
+from .core import Game, Rat, as_rat, integer_payoffs, make_game
 from .equilibrium import DominanceFact, dominance_facts, pure_equilibria
 
 Attitude = Literal["pessimistic", "optimistic"]
 
 CLASSICAL_LABELS = ("C", "D")
 GENERALIZED_LABELS = ("C", "D", "S")
+
+_T = TypeVar("_T")
 
 
 class NotGeneralizedGameError(ValueError):
@@ -121,7 +123,7 @@ def classical_pd(params: PdParams = PdParams()) -> Game:
     return make_game(CLASSICAL_LABELS, CLASSICAL_LABELS, u1, u2)
 
 
-def _with_silence(u: Sequence[Sequence[Rat]], combine: Callable[[Rat, Rat], Rat]) -> list[list[Rat]]:
+def _with_silence(u: Sequence[Sequence[_T]], combine: Callable[[_T, _T], _T]) -> list[list[_T]]:
     """Extend a 2x2 C/D block by an S row, then an S column, by the twin rule.
 
     Each new entry is combine(C twin, D twin), so (S,S) combines (S,C) and (S,D).
@@ -134,12 +136,16 @@ def _with_silence(u: Sequence[Sequence[Rat]], combine: Callable[[Rat, Rat], Rat]
 def generalized_pd(params: PdParams, sem: SilenceSemantics) -> Game:
     """The 3x3 game over {C, D, S} whose C/D block equals the classical game."""
     base = classical_pd(params)
-    if isinstance(sem, Mixture):
-        w, rest = sem.w, 1 - sem.w
-        combine = lambda c, d: w * c + rest * d
+    if isinstance(sem, Ambiguous):
+        pick = min if sem.attitude == "pessimistic" else max
+        u1, u2 = (_with_silence(u, pick) for u in (base.u1, base.u2))
     else:
-        combine = min if sem.attitude == "pessimistic" else max
-    u1, u2 = (_with_silence(u, combine) for u in (base.u1, base.u2))
+        # In integers scaled by q**2, both steps of the twin rule divide by q exactly.
+        scale, *blocks = integer_payoffs(base)
+        p, q = sem.w.numerator, sem.w.denominator
+        mix = lambda c, d: (p * c + (q - p) * d) // q
+        scaled = (_with_silence([[v * q * q for v in row] for row in u], mix) for u in blocks)
+        u1, u2 = ([[Fraction(v, scale * q * q) for v in row] for row in u] for u in scaled)
     return make_game(GENERALIZED_LABELS, GENERALIZED_LABELS, u1, u2)
 
 
@@ -185,12 +191,12 @@ class MixtureCheck:
 def mixture_consistency(g3: Game) -> MixtureCheck:
     """Infer the mixture weight from a 3x3 {C, D, S} game, or refute one.
 
-    Every S-entry must equal w times its C twin plus 1 - w times its D twin
-    (the twin rule in the module docstring). Entries are scanned in a fixed
-    order (u1 then u2, each S-row then S-column, then (S,S) of u1 and of u2)
-    so the reported counterexample is deterministic. The first entry whose
-    twins differ pins the weight; (S,S) only checks it, and as its twins
-    (S,C) and (S,D) were checked before, it checks the bilinear form in w.
+    Every S-entry must follow the twin rule (module docstring) under one
+    Mixture(w). Entries are scanned in a fixed order (u1 then u2, each S-row
+    then S-column, then (S,S) of u1 and of u2) so the reported counterexample
+    is deterministic. The first entry whose twins differ pins the weight;
+    (S,S) only checks it, and as its twins (S,C) and (S,D) were checked
+    before, it checks the bilinear form in w.
     """
     _silence_indices(g3)
     if set(g3.labels1) != {"C", "D", "S"} or set(g3.labels2) != {"C", "D", "S"}:
@@ -201,10 +207,13 @@ def mixture_consistency(g3: Game) -> MixtureCheck:
     rows = {label: g3.labels1.index(label) for label in GENERALIZED_LABELS}
     cols = {label: g3.labels2.index(label) for label in GENERALIZED_LABELS}
 
-    order = [(p, a, b) for p in (1, 2) for a, b in (("S", "C"), ("S", "D"), ("C", "S"), ("D", "S"))]
+    u1, u2 = g3.u1, g3.u2
     inferred: Rat | None = None
-    for player, a, b in [*order, (1, "S", "S"), (2, "S", "S")]:
-        u = g3.u1 if player == 1 else g3.u2
+    for player, u, a, b in (
+        (1, u1, "S", "C"), (1, u1, "S", "D"), (1, u1, "C", "S"), (1, u1, "D", "S"),
+        (2, u2, "S", "C"), (2, u2, "S", "D"), (2, u2, "C", "S"), (2, u2, "D", "S"),
+        (1, u1, "S", "S"), (2, u2, "S", "S"),
+    ):
         # The C and D twins read the entry's last S as C, then as D.
         twins = ((a, "C"), (a, "D")) if b == "S" else (("C", b), ("D", b))
         name, s_val = f"u{player}({a},{b})", u[rows[a]][cols[b]]

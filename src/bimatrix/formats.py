@@ -293,19 +293,24 @@ def _json_text(obj: object) -> str:
 
 def _csv_text(rows: Sequence[Sequence[str]]) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    for row in rows:
-        try:
-            writer.writerow(row)
-        except csv.Error as exc:
-            # Python 3.10's writer cannot write NUL at all; name the field it rejects.
-            for field in row:
-                try:
-                    writer.writerow([field])
-                except csv.Error:
-                    break
-            raise ValueError(f"cannot write {field!r} as a csv field: {exc}") from None
+    try:
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+    except csv.Error as exc:
+        # Python 3.10's writer cannot write NUL at all; name the first field
+        # it rejects alone, or else the first row it rejects.
+        row = list(next(filter(_csv_rejects, rows), ()))
+        field = next((field for field in row if _csv_rejects([field])), None)
+        culprit = f"the row {row!r} as csv" if field is None else f"{field!r} as a csv field"
+        raise ValueError(f"cannot write {culprit}: {exc}") from None
     return buffer.getvalue()
+
+
+def _csv_rejects(row: Sequence[str]) -> bool:
+    try:
+        csv.writer(io.StringIO()).writerow(row)
+    except csv.Error:
+        return True
+    return False
 
 
 def _fact_record(fact: DominanceFact, labels1: Sequence[str], labels2: Sequence[str]) -> dict:

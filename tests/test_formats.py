@@ -378,26 +378,36 @@ class TestReportEmission:
     def test_pd_csv_golden(self):
         assert emit_report(analyze(classical_pd()), "csv") == REPORT_CSV
 
-    def test_csv_writer_error_names_the_field(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "rejects, culprit",
+        [
+            (lambda row: any("\x00" in field for field in row), "'a\\x00b' as a csv field"),
+            (lambda row: "pure" in row and "x" in row, "the row ['pure', 'a\\x00b', 'x', 'strict'] as csv"),
+        ],
+        ids=["field", "row"],
+    )
+    def test_csv_writer_error_names_the_culprit(self, monkeypatch, rejects, culprit):
         # Stands in for Python 3.10's writer, which raises on any NUL.
         real_writer = csv.writer
 
-        class NulRejectingWriter:
+        class RejectingWriter:
             def __init__(self, *args, **kwargs):
                 self.writer = real_writer(*args, **kwargs)
 
             def writerow(self, row):
-                if any("\x00" in field for field in row):
+                if rejects(row):
                     raise csv.Error("need to escape, but no escapechar set")
                 return self.writer.writerow(row)
 
-        monkeypatch.setattr(csv, "writer", NulRejectingWriter)
+            def writerows(self, rows):
+                for row in rows:
+                    self.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", RejectingWriter)
         game = make_game(["a\x00b", "c"], ["x", "y"], [[1, 0], [0, 0]], [[1, 0], [0, 0]])
         with pytest.raises(ValueError) as raised:
             emit_report(analyze(game, mixed=False, dominance=False), "csv")
-        assert str(raised.value) == (
-            "cannot write 'a\\x00b' as a csv field: need to escape, but no escapechar set"
-        )
+        assert str(raised.value) == f"cannot write {culprit}: need to escape, but no escapechar set"
 
     def test_pd_table_golden(self):
         assert emit_report(analyze(classical_pd()), "table") == REPORT_TABLE
