@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .core import Game, PureProfile, Rat
 from .dilemma import (
@@ -92,7 +91,8 @@ def _read_document(path: str) -> GameDocument:
     # Files and stdin both decode as UTF-8 whatever the locale, keeping
     # undecodable bytes as lone surrogates for parse_game to locate.
     if path != "-":
-        text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+        with open(path, encoding="utf-8", errors="surrogateescape") as file:
+            text = file.read()
     elif hasattr(sys.stdin, "buffer"):
         text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
     else:

@@ -5,12 +5,19 @@ precision, always stored reduced with a positive denominator), so every
 comparison in the solver is exact. Floating-point payoffs are rejected.
 
 Every type here is immutable after construction; all functions are pure.
+
+The records of the package (profiles, games, dilemma parameters, reports)
+derive from Record: plain immutable classes with the equality, hash and repr
+of a frozen dataclass over the fields listed in `__match_args__`. They are not
+dataclasses, so dataclasses.replace, fields and asdict do not apply to them.
+The package imports dataclasses only to raise FrozenInstanceError: importing
+it loads inspect and ast, a cost every start of the command-line tool would
+pay.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Literal, Sequence
@@ -40,24 +47,67 @@ def as_rat(value: int | Rat) -> Rat:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class PureProfile:
+class Record:
+    """An immutable record over the fields named, in order, in `__match_args__`.
+
+    Equality is same class and equal field tuples, the hash is the field
+    tuple's, and the repr is `Name(field=value, ...)`. A subclass annotates
+    the same fields, in the same order, for type checkers, and sets them in
+    `__init__` with object.__setattr__; any later assignment or deletion
+    raises FrozenInstanceError. Instances keep a `__dict__`, so pickle and copy
+    work on them as on any plain object.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class PureProfile(Record):
     """A pure strategy pair: row index for player 1, column index for player 2."""
 
     i: int
     j: int
+    __match_args__ = ("i", "j")
+
+    def __init__(self, i: int, j: int) -> None:
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
 
 
-@dataclass(frozen=True)
-class MixedProfile:
+class MixedProfile(Record):
     """A pair of exact probability vectors over the two strategy sets."""
 
     x: tuple[Rat, ...]
     y: tuple[Rat, ...]
+    __match_args__ = ("x", "y")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(as_rat(p) for p in self.x))
-        object.__setattr__(self, "y", tuple(as_rat(p) for p in self.y))
+    def __init__(self, x: Iterable[Rat], y: Iterable[Rat]) -> None:
+        object.__setattr__(self, "x", tuple(as_rat(p) for p in x))
+        object.__setattr__(self, "y", tuple(as_rat(p) for p in y))
         for name, vec in (("x", self.x), ("y", self.y)):
             if not vec:
                 raise ValueError(f"{name} must be non-empty")
@@ -78,8 +128,7 @@ def _freeze_matrix(rows: Iterable[Iterable[object]]) -> tuple[tuple[Rat, ...], .
     return tuple(tuple(as_rat(v) for v in row) for row in rows)
 
 
-@dataclass(frozen=True)
-class Game:
+class Game(Record):
     """A bimatrix game: labelled strategy sets and one payoff matrix per player.
 
     u1[i][j] is player 1's payoff and u2[i][j] player 2's when player 1 plays
@@ -92,12 +141,19 @@ class Game:
     labels2: tuple[str, ...]
     u1: tuple[tuple[Rat, ...], ...]
     u2: tuple[tuple[Rat, ...], ...]
+    __match_args__ = ("labels1", "labels2", "u1", "u2")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels1", tuple(self.labels1))
-        object.__setattr__(self, "labels2", tuple(self.labels2))
-        object.__setattr__(self, "u1", _freeze_matrix(self.u1))
-        object.__setattr__(self, "u2", _freeze_matrix(self.u2))
+    def __init__(
+        self,
+        labels1: Iterable[str],
+        labels2: Iterable[str],
+        u1: Iterable[Iterable[object]],
+        u2: Iterable[Iterable[object]],
+    ) -> None:
+        object.__setattr__(self, "labels1", tuple(labels1))
+        object.__setattr__(self, "labels2", tuple(labels2))
+        object.__setattr__(self, "u1", _freeze_matrix(u1))
+        object.__setattr__(self, "u2", _freeze_matrix(u2))
 
     @property
     def shape(self) -> tuple[int, int]:

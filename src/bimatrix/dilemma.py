@@ -27,11 +27,10 @@ Deleting S recovers the classical game exactly, whatever the semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Literal, Sequence, TypeVar
 
-from .core import Game, Rat, as_rat, integer_payoffs, make_game
+from .core import Game, Rat, Record, as_rat, integer_payoffs, make_game
 from .equilibrium import DominanceFact, dominance_facts, pure_equilibria
 
 Attitude = Literal["pessimistic", "optimistic"]
@@ -46,8 +45,7 @@ class NotGeneralizedGameError(ValueError):
     """The game lacks the 3x3-with-silence structure the operation needs."""
 
 
-@dataclass(frozen=True)
-class PdParams:
+class PdParams(Record):
     """Sentence lengths (years) for the four prisoner's dilemma outcomes.
 
     years_free: the betrayer's sentence when the other cooperates.
@@ -56,19 +54,23 @@ class PdParams:
     years_sucker, all non-negative.
     """
 
-    years_free: Rat = Fraction(0)
-    years_both_coop: Rat = Fraction(1)
-    years_both_defect: Rat = Fraction(4)
-    years_sucker: Rat = Fraction(5)
+    years_free: Rat
+    years_both_coop: Rat
+    years_both_defect: Rat
+    years_sucker: Rat
+    __match_args__ = ("years_free", "years_both_coop", "years_both_defect", "years_sucker")
 
-    def __post_init__(self) -> None:
-        for field in (
-            "years_free",
-            "years_both_coop",
-            "years_both_defect",
-            "years_sucker",
-        ):
-            object.__setattr__(self, field, as_rat(getattr(self, field)))
+    def __init__(
+        self,
+        years_free: Rat = Fraction(0),
+        years_both_coop: Rat = Fraction(1),
+        years_both_defect: Rat = Fraction(4),
+        years_sucker: Rat = Fraction(5),
+    ) -> None:
+        object.__setattr__(self, "years_free", as_rat(years_free))
+        object.__setattr__(self, "years_both_coop", as_rat(years_both_coop))
+        object.__setattr__(self, "years_both_defect", as_rat(years_both_defect))
+        object.__setattr__(self, "years_sucker", as_rat(years_sucker))
         if self.years_free < 0:
             raise ValueError("sentence lengths must be non-negative")
         ordered = (
@@ -86,27 +88,28 @@ class PdParams:
             )
 
 
-@dataclass(frozen=True)
-class Mixture:
+class Mixture(Record):
     """Silence behaves as C with probability w, as D with probability 1 - w."""
 
     w: Rat
+    __match_args__ = ("w",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "w", as_rat(self.w))
+    def __init__(self, w: Rat) -> None:
+        object.__setattr__(self, "w", as_rat(w))
         if not 0 <= self.w <= 1:
             raise ValueError(f"mixture weight must be in [0, 1], got {self.w}")
 
 
-@dataclass(frozen=True)
-class Ambiguous:
+class Ambiguous(Record):
     """Silence stays unresolved; entries take each player's worst or best case."""
 
     attitude: Attitude
+    __match_args__ = ("attitude",)
 
-    def __post_init__(self) -> None:
-        if self.attitude not in ("pessimistic", "optimistic"):
-            raise ValueError(f"unknown attitude {self.attitude!r}")
+    def __init__(self, attitude: Attitude) -> None:
+        object.__setattr__(self, "attitude", attitude)
+        if attitude not in ("pessimistic", "optimistic"):
+            raise ValueError(f"unknown attitude {attitude!r}")
 
 
 SilenceSemantics = Mixture | Ambiguous
@@ -172,8 +175,7 @@ def reduce_to_classical(g3: Game) -> Game:
     )
 
 
-@dataclass(frozen=True)
-class MixtureCheck:
+class MixtureCheck(Record):
     """Whether a 3x3 silence game's S-entries are a single-weight mixture.
 
     Exactly one of these holds: `w` is the unique inferred weight
@@ -183,9 +185,22 @@ class MixtureCheck:
     """
 
     consistent: bool
-    w: Rat | None = None
-    any_weight: bool = False
-    counterexample: str | None = None
+    w: Rat | None
+    any_weight: bool
+    counterexample: str | None
+    __match_args__ = ("consistent", "w", "any_weight", "counterexample")
+
+    def __init__(
+        self,
+        consistent: bool,
+        w: Rat | None = None,
+        any_weight: bool = False,
+        counterexample: str | None = None,
+    ) -> None:
+        object.__setattr__(self, "consistent", consistent)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "any_weight", any_weight)
+        object.__setattr__(self, "counterexample", counterexample)
 
 
 def mixture_consistency(g3: Game) -> MixtureCheck:
@@ -268,14 +283,26 @@ def mixture_consistency(g3: Game) -> MixtureCheck:
     return MixtureCheck(consistent=True, w=inferred)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     """Equilibrium structure of the generalized game at one mixture weight."""
 
     w: Rat
     labels: tuple[str, ...]
     equilibria: tuple[tuple[str, str], ...]
     dominance: tuple[DominanceFact, ...]
+    __match_args__ = ("w", "labels", "equilibria", "dominance")
+
+    def __init__(
+        self,
+        w: Rat,
+        labels: tuple[str, ...],
+        equilibria: tuple[tuple[str, str], ...],
+        dominance: tuple[DominanceFact, ...],
+    ) -> None:
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "equilibria", equilibria)
+        object.__setattr__(self, "dominance", dominance)
 
 
 def sweep_mixture(params: PdParams, steps: int) -> list[SweepRow]:

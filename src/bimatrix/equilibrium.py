@@ -16,11 +16,10 @@ Intended for small games (each side at most ~6 strategies).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal, Sequence
 
-from .core import Game, MixedProfile, Player, PureProfile, Rat, check_profile, integer_payoffs
+from .core import Game, MixedProfile, Player, PureProfile, Rat, Record, check_profile, integer_payoffs
 
 Mode = Literal["strict", "weak"]
 
@@ -33,18 +32,23 @@ class NoEquilibriumFoundError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class DominanceFact:
+class DominanceFact(Record):
     """Strategy `dominated` is dominated by `dominator` for `player`."""
 
     player: Player
     dominated: int
     dominator: int
     mode: Mode
+    __match_args__ = ("player", "dominated", "dominator", "mode")
+
+    def __init__(self, player: Player, dominated: int, dominator: int, mode: Mode) -> None:
+        object.__setattr__(self, "player", player)
+        object.__setattr__(self, "dominated", dominated)
+        object.__setattr__(self, "dominator", dominator)
+        object.__setattr__(self, "mode", mode)
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(Record):
     """Everything the solver found for one game.
 
     Sections that were not requested are None; `strict` is parallel to `pure`
@@ -56,16 +60,31 @@ class EquilibriumReport:
 
     labels1: tuple[str, ...]
     labels2: tuple[str, ...]
-    pure: tuple[PureProfile, ...] | None = None
-    strict: tuple[bool, ...] | None = None
-    mixed: tuple[MixedProfile, ...] | None = None
-    dominance: tuple[DominanceFact, ...] | None = None
-    degenerate: bool | None = None
+    pure: tuple[PureProfile, ...] | None
+    strict: tuple[bool, ...] | None
+    mixed: tuple[MixedProfile, ...] | None
+    dominance: tuple[DominanceFact, ...] | None
+    degenerate: bool | None
+    __match_args__ = ("labels1", "labels2", "pure", "strict", "mixed", "dominance", "degenerate")
 
-    def __post_init__(self) -> None:
-        if (self.pure is None) != (self.strict is None) or (
-            self.pure is not None and len(self.pure) != len(self.strict)
-        ):
+    def __init__(
+        self,
+        labels1: tuple[str, ...],
+        labels2: tuple[str, ...],
+        pure: tuple[PureProfile, ...] | None = None,
+        strict: tuple[bool, ...] | None = None,
+        mixed: tuple[MixedProfile, ...] | None = None,
+        dominance: tuple[DominanceFact, ...] | None = None,
+        degenerate: bool | None = None,
+    ) -> None:
+        object.__setattr__(self, "labels1", labels1)
+        object.__setattr__(self, "labels2", labels2)
+        object.__setattr__(self, "pure", pure)
+        object.__setattr__(self, "strict", strict)
+        object.__setattr__(self, "mixed", mixed)
+        object.__setattr__(self, "dominance", dominance)
+        object.__setattr__(self, "degenerate", degenerate)
+        if (pure is None) != (strict is None) or (pure is not None and len(pure) != len(strict)):
             raise ValueError("strict must be parallel to pure: both None or equally long")
 
 

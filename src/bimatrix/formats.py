@@ -35,12 +35,11 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Sequence, TypeVar
 
-from .core import Game, Rat, make_game
+from .core import Game, Rat, Record, make_game
 from .dilemma import SweepRow
 from .equilibrium import DominanceFact, EquilibriumReport
 
@@ -62,12 +61,16 @@ class ParseError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class GameDocument:
+class GameDocument(Record):
     """A named game as read from (or destined for) a game file."""
 
     name: str
     game: Game
+    __match_args__ = ("name", "game")
+
+    def __init__(self, name: str, game: Game) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "game", game)
 
 
 def parse_rat(text: str) -> Rat:

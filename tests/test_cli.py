@@ -369,19 +369,21 @@ b : 0 0
 """
 
 
+def python(*argv, **environ) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with argv, this checkout's bimatrix on its path."""
+    env = dict(os.environ, **environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(bimatrix.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, timeout=60)
+
+
 class TestStdoutEncoding:
     """stdout is UTF-8 whatever encoding the environment gives it."""
 
     @staticmethod
     def console(args, encoding):
-        env = dict(os.environ, PYTHONIOENCODING=encoding)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(bimatrix.__file__).parents[1]), env.get("PYTHONPATH")])
-        )
-        return subprocess.run(
-            [sys.executable, "-c", "from bimatrix.cli import run; run()", *args],
-            env=env, capture_output=True, timeout=60,
-        )
+        return python("-c", "from bimatrix.cli import run; run()", *args, PYTHONIOENCODING=encoding)
 
     def test_main_leaves_caller_stdout_alone(self, monkeypatch):
         stdout = io.TextIOWrapper(io.BytesIO(), encoding="latin-1", errors="surrogateescape")
@@ -404,3 +406,22 @@ class TestStdoutEncoding:
         done = self.console(["solve", str(path), "--pure"], encoding)
         assert (done.returncode, done.stderr) == (0, b"")
         assert done.stdout == "pure equilibria:\n  (é, x)  [strict]\n".encode("utf-8")
+
+
+# `site` may import modules before the test does, so it compares sys.modules
+# before and after the import; -S runs without site, which otherwise preloads
+# pathlib.
+STARTUP = "import sys; before = set(sys.modules); import bimatrix.cli; print(*set(sys.modules) - before)"
+
+
+@pytest.mark.parametrize(
+    ("flags", "unwanted"),
+    [((), {"dataclasses", "inspect"}), (("-S",), {"dataclasses", "inspect", "pathlib"})],
+    ids=["site", "no-site"],
+)
+def test_cli_import_skips_unused_stdlib(flags, unwanted):
+    done = python(*flags, "-c", STARTUP)
+    assert (done.returncode, done.stderr) == (0, b"")
+    added = set(done.stdout.decode().split())
+    assert "bimatrix.cli" in added
+    assert not unwanted & added

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -21,7 +23,17 @@ from bimatrix.core import (
     rat,
     validate_game,
 )
-from bimatrix.dilemma import PdParams, classical_pd, generalized_pd, Mixture, Ambiguous
+from bimatrix.dilemma import (
+    Ambiguous,
+    Mixture,
+    MixtureCheck,
+    PdParams,
+    SweepRow,
+    classical_pd,
+    generalized_pd,
+)
+from bimatrix.equilibrium import DominanceFact, EquilibriumReport
+from bimatrix.formats import GameDocument
 
 from helpers import random_game
 
@@ -172,3 +184,157 @@ class TestProfiles:
     def test_game_rejects_float_payoffs(self):
         with pytest.raises(TypeError):
             make_game(["a"], ["b"], [[0.5]], [[1]])
+
+
+GAME = Game(("C", "D"), ("x",), ((Fraction(1),), (Fraction(-1, 2),)), ((Fraction(0),), (Fraction(2),)))
+GAME_REPR = (
+    "Game(labels1=('C', 'D'), labels2=('x',), u1=((Fraction(1, 1),), (Fraction(-1, 2),)), "
+    "u2=((Fraction(0, 1),), (Fraction(2, 1),)))"
+)
+FACT = DominanceFact(2, 0, 1, "weak")
+FACT_REPR = "DominanceFact(player=2, dominated=0, dominator=1, mode='weak')"
+
+# One record of each class: its fields as already normalized constructor
+# arguments, and its repr.
+RECORDS = [
+    (PureProfile, (1, 2), "PureProfile(i=1, j=2)"),
+    (
+        MixedProfile,
+        ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1),)),
+        "MixedProfile(x=(Fraction(1, 2), Fraction(1, 2)), y=(Fraction(1, 1),))",
+    ),
+    (Game, (GAME.labels1, GAME.labels2, GAME.u1, GAME.u2), GAME_REPR),
+    (
+        PdParams,
+        (Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7)),
+        "PdParams(years_free=Fraction(1, 2), years_both_coop=Fraction(1, 1), "
+        "years_both_defect=Fraction(3, 1), years_sucker=Fraction(7, 1))",
+    ),
+    (Mixture, (Fraction(1, 3),), "Mixture(w=Fraction(1, 3))"),
+    (Ambiguous, ("optimistic",), "Ambiguous(attitude='optimistic')"),
+    (
+        MixtureCheck,
+        (False, None, False, "u1[S][C] breaks it"),
+        "MixtureCheck(consistent=False, w=None, any_weight=False, counterexample='u1[S][C] breaks it')",
+    ),
+    (
+        SweepRow,
+        (Fraction(1, 2), ("C", "D", "S"), (("D", "D"),), (FACT,)),
+        f"SweepRow(w=Fraction(1, 2), labels=('C', 'D', 'S'), equilibria=(('D', 'D'),), dominance=({FACT_REPR},))",
+    ),
+    (DominanceFact, (2, 0, 1, "weak"), FACT_REPR),
+    (
+        EquilibriumReport,
+        (("a",), ("b",), (PureProfile(0, 0),), (True,), (MixedProfile((Fraction(1),), (Fraction(1),)),), (), False),
+        "EquilibriumReport(labels1=('a',), labels2=('b',), pure=(PureProfile(i=0, j=0),), strict=(True,), "
+        "mixed=(MixedProfile(x=(Fraction(1, 1),), y=(Fraction(1, 1),)),), dominance=(), degenerate=False)",
+    ),
+    (GameDocument, ("g", GAME), f"GameDocument(name='g', game={GAME_REPR})"),
+]
+
+
+def _fields(record) -> tuple:
+    return tuple(getattr(record, name) for name in type(record).__match_args__)
+
+
+@pytest.mark.parametrize(("cls", "args", "text"), RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+class TestRecords:
+    """Every record: construction, field-tuple equality and hash, repr, immutability, copies, patterns."""
+
+    def test_construction(self, cls, args, text):
+        record = cls(*args)
+        assert _fields(record) == args
+        assert cls(**dict(zip(cls.__match_args__, args))) == record
+        assert tuple(cls.__annotations__) == cls.__match_args__
+
+    def test_equality_and_hash_follow_the_field_tuple(self, cls, args, text):
+        record = cls(*args)
+        assert record == cls(*args) and not record != cls(*args)
+        assert record != args
+        assert hash(record) == hash(args)
+        other = cls(*args)
+        object.__setattr__(other, cls.__match_args__[-1], object())
+        assert record != other and not record == other
+
+    def test_repr(self, cls, args, text):
+        assert repr(cls(*args)) == text
+
+    def test_frozen(self, cls, args, text):
+        record, name = cls(*args), cls.__match_args__[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, args[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.extra = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+        assert _fields(record) == args
+
+    @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy])
+    def test_copies(self, cls, args, text, clone):
+        twin = clone(cls(*args))
+        assert type(twin) is cls and twin == cls(*args) and repr(twin) == text
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(twin, cls.__match_args__[0], args[0])
+
+    def test_class_pattern(self, cls, args, text):
+        match cls(*args):
+            case cls(first):
+                assert first == args[0]
+            case _:
+                pytest.fail("class pattern did not match")
+
+
+def test_record_defaults():
+    assert PdParams() == PdParams(Fraction(0), Fraction(1), Fraction(4), Fraction(5))
+    assert PdParams(years_sucker=7) == PdParams(0, 1, 4, Fraction(7))
+    assert _fields(MixtureCheck(consistent=True)) == (True, None, False, None)
+    assert _fields(EquilibriumReport(("a",), ("b",))) == (("a",), ("b",), None, None, None, None, None)
+
+
+def test_positional_class_pattern():
+    match FACT:
+        case DominanceFact(player, dominated, dominator, mode=mode):
+            assert (player, dominated, dominator, mode) == (2, 0, 1, "weak")
+        case _:
+            pytest.fail("class pattern did not match")
+
+
+@pytest.mark.parametrize(
+    ("cls", "args", "error", "message"),
+    [
+        (PureProfile, (1,), TypeError, "missing 1 required positional argument: 'j'"),
+        (MixedProfile, ((), (1,)), ValueError, "x must be non-empty"),
+        (MixedProfile, ((1,), (Fraction(3, 2), Fraction(-1, 2))), ValueError, "y has a negative entry"),
+        (MixedProfile, ((Fraction(1, 2),), (1,)), ValueError, "x does not sum to 1"),
+        (MixedProfile, ((0.5, 0.5), (1,)), TypeError, "expected an exact rational, got float"),
+        (Game, (["a"], ["b"], [[0.5]], [[1]]), TypeError, "expected an exact rational, got float"),
+        (PdParams, (-1, 1, 4, 5), ValueError, "sentence lengths must be non-negative"),
+        (
+            PdParams,
+            (2, 1, 4, 5),
+            ValueError,
+            "dilemma ordering violated: need years_free < years_both_coop < years_both_defect "
+            "< years_sucker, got 2 / 1 / 4 / 5",
+        ),
+        (PdParams, (0.5,), TypeError, "expected an exact rational, got float"),
+        (Mixture, (2,), ValueError, "mixture weight must be in [0, 1], got 2"),
+        (Mixture, (0.5,), TypeError, "expected an exact rational, got float"),
+        (Ambiguous, ("neutral",), ValueError, "unknown attitude 'neutral'"),
+        (
+            EquilibriumReport,
+            (("a",), ("b",), (PureProfile(0, 0),)),
+            ValueError,
+            "strict must be parallel to pure: both None or equally long",
+        ),
+        (
+            EquilibriumReport,
+            (("a",), ("b",), (PureProfile(0, 0),), ()),
+            ValueError,
+            "strict must be parallel to pure: both None or equally long",
+        ),
+    ],
+)
+def test_record_validation(cls, args, error, message):
+    with pytest.raises(error) as raised:
+        cls(*args)
+    assert message in str(raised.value)
