@@ -4,9 +4,10 @@ Subcommands: solve (equilibrium/dominance reports for a game file), pd and
 gpd (emit canonical classical/generalized dilemma game files), sweep
 (equilibria across an exact grid of mixture weights), verify (check one pure
 profile), and reduce (drop the silence strategy). Reports go to stdout as
-UTF-8 whatever the locale, diagnostics to stderr. Exit codes: 0 success, 1 usage error, 2 game file
-parse error, 3 semantic/validation error, 4 mixed enumeration found no
-equilibrium (a solver defect on some degenerate games).
+UTF-8 whatever the locale, diagnostics to stderr. Exit codes: 0 success, 1
+usage error, 2 game file parse error, 3 semantic/validation error (verify
+given a strategy label the game lacks among them), 4 mixed enumeration found
+no equilibrium (a solver defect on some degenerate games).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import Game, PureProfile, Rat
+from .core import Rat
 from .dilemma import (
     Ambiguous,
     Mixture,
@@ -24,7 +25,7 @@ from .dilemma import (
     reduce_to_classical,
     sweep_mixture,
 )
-from .equilibrium import NoEquilibriumFoundError, analyze, best_responses, is_nash
+from .equilibrium import NoEquilibriumFoundError, analyze, best_responses
 from .formats import FORMATS, GameDocument, ParseError, emit_report, parse_game, parse_rat, serialize_game
 
 EXIT_OK = 0
@@ -81,12 +82,6 @@ def _profile(text: str) -> tuple[str, str]:
     return row, col
 
 
-def _params(args: argparse.Namespace) -> PdParams:
-    if args.years is None:
-        return PdParams()
-    return PdParams(*args.years)
-
-
 def _read_document(path: str) -> GameDocument:
     # Files and stdin both decode as UTF-8 whatever the locale, keeping
     # undecodable bytes as lone surrogates for parse_game to locate.
@@ -114,48 +109,44 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_pd(args: argparse.Namespace) -> int:
-    sys.stdout.write(serialize_game(classical_pd(_params(args)), "classical_pd"))
+    sys.stdout.write(serialize_game(classical_pd(PdParams(*args.years)), "classical_pd"))
     return EXIT_OK
 
 
 def cmd_gpd(args: argparse.Namespace) -> int:
     sem = Mixture(args.w) if args.w is not None else Ambiguous(args.ambiguous)
-    sys.stdout.write(serialize_game(generalized_pd(_params(args), sem), "generalized_pd"))
+    sys.stdout.write(serialize_game(generalized_pd(PdParams(*args.years), sem), "generalized_pd"))
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rows = sweep_mixture(_params(args), args.steps)
+    rows = sweep_mixture(PdParams(*args.years), args.steps)
     sys.stdout.write(emit_report(rows, args.format))
     return EXIT_OK
 
 
-def _witness(g: Game, p: PureProfile) -> tuple[int, str, str, Rat]:
-    # best deviation for the first player with a profitable one; ties -> lowest index
-    best = min(best_responses(g, 1, p.j))
-    gain = g.u1[best][p.j] - g.u1[p.i][p.j]
-    if gain > 0:
-        return 1, g.labels1[p.i], g.labels1[best], gain
-    best = min(best_responses(g, 2, p.i))
-    return 2, g.labels2[p.j], g.labels2[best], g.u2[p.i][best] - g.u2[p.i][p.j]
+def _label_index(labels: tuple[str, ...], label: str, player: int) -> int:
+    if label not in labels:
+        raise ValueError(f"unknown strategy label {label!r} for player {player}")
+    return labels.index(label)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    doc = _read_document(args.file)
-    row_label, col_label = args.profile
-    game = doc.game
-    if row_label not in game.labels1:
-        print(f"error: unknown strategy label {row_label!r} for player 1", file=sys.stderr)
-        return EXIT_INVALID
-    if col_label not in game.labels2:
-        print(f"error: unknown strategy label {col_label!r} for player 2", file=sys.stderr)
-        return EXIT_INVALID
-    profile = PureProfile(game.labels1.index(row_label), game.labels2.index(col_label))
-    if is_nash(game, profile):
-        print("NASH")
-    else:
-        player, source, target, gain = _witness(game, profile)
-        print(f"NOT NASH: player {player} deviates {source}→{target}, gain {gain}")
+    game = _read_document(args.file).game
+    row, col = args.profile
+    i, j = _label_index(game.labels1, row, 1), _label_index(game.labels2, col, 2)
+    # The first player with a profitable deviation moves to its lowest-index
+    # best response; the profile is Nash when neither player has one.
+    best_row, best_col = min(best_responses(game, 1, j)), min(best_responses(game, 2, i))
+    deviations = (
+        (1, row, game.labels1[best_row], game.u1[best_row][j] - game.u1[i][j]),
+        (2, col, game.labels2[best_col], game.u2[i][best_col] - game.u2[i][j]),
+    )
+    for player, source, target, gain in deviations:
+        if gain > 0:
+            print(f"NOT NASH: player {player} deviates {source}→{target}, gain {gain}")
+            return EXIT_OK
+    print("NASH")
     return EXIT_OK
 
 
@@ -184,7 +175,7 @@ def build_parser() -> _Parser:
     pd.add_argument(
         "--years",
         type=_years,
-        default=None,
+        default=(),
         metavar="F,C,D,S",
         help="sentence lengths: free, both-cooperate, both-defect, sucker (default 0,1,4,5)",
     )
@@ -205,13 +196,13 @@ def build_parser() -> _Parser:
         default=None,
         help="ambiguity semantics: worst-case or best-case resolution of silence",
     )
-    gpd.add_argument("--years", type=_years, default=None, metavar="F,C,D,S",
+    gpd.add_argument("--years", type=_years, default=(), metavar="F,C,D,S",
                      help="sentence lengths as for pd")
     gpd.set_defaults(func=cmd_gpd)
 
     sweep = sub.add_parser("sweep", help="equilibria across a grid of mixture weights")
     sweep.add_argument("--steps", type=_steps, default=10, help="grid resolution: weights k/steps")
-    sweep.add_argument("--years", type=_years, default=None, metavar="F,C,D,S",
+    sweep.add_argument("--years", type=_years, default=(), metavar="F,C,D,S",
                        help="sentence lengths as for pd")
     sweep.add_argument("--format", choices=FORMATS, default="table", help="output format")
     sweep.set_defaults(func=cmd_sweep)
@@ -237,10 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

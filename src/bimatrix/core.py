@@ -8,7 +8,7 @@ Every type here is immutable after construction; all functions are pure.
 
 The records of the package (profiles, games, dilemma parameters, reports)
 derive from Record: plain immutable classes with the equality, hash and repr
-of a frozen dataclass over the fields listed in `__match_args__`. They are not
+of a frozen dataclass over the fields they annotate. They are not
 dataclasses, so dataclasses.replace, fields and asdict do not apply to them.
 The package imports dataclasses only to raise FrozenInstanceError: importing
 it loads inspect and ast, a cost every start of the command-line tool would
@@ -33,7 +33,7 @@ class InvalidGameError(ValueError):
 
 def rat(num: int, den: int = 1) -> Rat:
     """Build the reduced rational num/den. Raises ZeroDivisionError if den is 0."""
-    if not isinstance(num, int) or not isinstance(den, int):
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (num, den)):
         raise TypeError("rational components must be integers")
     return Fraction(num, den)
 
@@ -48,17 +48,21 @@ def as_rat(value: int | Rat) -> Rat:
 
 
 class Record:
-    """An immutable record over the fields named, in order, in `__match_args__`.
+    """An immutable record whose fields are its class annotations, in order.
 
-    Equality is same class and equal field tuples, the hash is the field
-    tuple's, and the repr is `Name(field=value, ...)`. A subclass annotates
-    the same fields, in the same order, for type checkers, and sets them in
-    `__init__` with object.__setattr__; any later assignment or deletion
-    raises FrozenInstanceError. Instances keep a `__dict__`, so pickle and copy
-    work on them as on any plain object.
+    Each subclass gets `__match_args__` from its own annotations, so class
+    patterns bind the fields positionally. Equality is same class and equal
+    field tuples, the hash is the field tuple's, and the repr is
+    `Name(field=value, ...)`. A subclass sets its fields in `__init__` with
+    object.__setattr__; any later assignment or deletion raises
+    FrozenInstanceError. Instances keep a `__dict__`, so pickle and copy work
+    on them as on any plain object.
     """
 
     __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = tuple(cls.__annotations__)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -91,7 +95,6 @@ class PureProfile(Record):
 
     i: int
     j: int
-    __match_args__ = ("i", "j")
 
     def __init__(self, i: int, j: int) -> None:
         object.__setattr__(self, "i", i)
@@ -103,7 +106,6 @@ class MixedProfile(Record):
 
     x: tuple[Rat, ...]
     y: tuple[Rat, ...]
-    __match_args__ = ("x", "y")
 
     def __init__(self, x: Iterable[Rat], y: Iterable[Rat]) -> None:
         object.__setattr__(self, "x", tuple(as_rat(p) for p in x))
@@ -141,7 +143,6 @@ class Game(Record):
     labels2: tuple[str, ...]
     u1: tuple[tuple[Rat, ...], ...]
     u2: tuple[tuple[Rat, ...], ...]
-    __match_args__ = ("labels1", "labels2", "u1", "u2")
 
     def __init__(
         self,

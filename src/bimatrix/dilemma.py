@@ -58,7 +58,6 @@ class PdParams(Record):
     years_both_coop: Rat
     years_both_defect: Rat
     years_sucker: Rat
-    __match_args__ = ("years_free", "years_both_coop", "years_both_defect", "years_sucker")
 
     def __init__(
         self,
@@ -92,7 +91,6 @@ class Mixture(Record):
     """Silence behaves as C with probability w, as D with probability 1 - w."""
 
     w: Rat
-    __match_args__ = ("w",)
 
     def __init__(self, w: Rat) -> None:
         object.__setattr__(self, "w", as_rat(w))
@@ -104,7 +102,6 @@ class Ambiguous(Record):
     """Silence stays unresolved; entries take each player's worst or best case."""
 
     attitude: Attitude
-    __match_args__ = ("attitude",)
 
     def __init__(self, attitude: Attitude) -> None:
         object.__setattr__(self, "attitude", attitude)
@@ -188,7 +185,6 @@ class MixtureCheck(Record):
     w: Rat | None
     any_weight: bool
     counterexample: str | None
-    __match_args__ = ("consistent", "w", "any_weight", "counterexample")
 
     def __init__(
         self,
@@ -290,7 +286,6 @@ class SweepRow(Record):
     labels: tuple[str, ...]
     equilibria: tuple[tuple[str, str], ...]
     dominance: tuple[DominanceFact, ...]
-    __match_args__ = ("w", "labels", "equilibria", "dominance")
 
     def __init__(
         self,

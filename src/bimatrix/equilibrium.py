@@ -39,7 +39,6 @@ class DominanceFact(Record):
     dominated: int
     dominator: int
     mode: Mode
-    __match_args__ = ("player", "dominated", "dominator", "mode")
 
     def __init__(self, player: Player, dominated: int, dominator: int, mode: Mode) -> None:
         object.__setattr__(self, "player", player)
@@ -65,7 +64,6 @@ class EquilibriumReport(Record):
     mixed: tuple[MixedProfile, ...] | None
     dominance: tuple[DominanceFact, ...] | None
     degenerate: bool | None
-    __match_args__ = ("labels1", "labels2", "pure", "strict", "mixed", "dominance", "degenerate")
 
     def __init__(
         self,

@@ -66,7 +66,6 @@ class GameDocument(Record):
 
     name: str
     game: Game
-    __match_args__ = ("name", "game")
 
     def __init__(self, name: str, game: Game) -> None:
         object.__setattr__(self, "name", name)

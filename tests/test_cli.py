@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import subprocess
@@ -10,10 +11,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bimatrix
 from bimatrix.cli import main
-from bimatrix.formats import parse_game
+from bimatrix.core import PureProfile, make_game
+from bimatrix.equilibrium import is_nash
+from bimatrix.formats import parse_game, serialize_game
 
 CLASSICAL_DOC = """\
 game classical_pd
@@ -306,9 +311,57 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert "unknown strategy label" in err
 
+    @pytest.mark.parametrize(
+        "profile,message",
+        [
+            ("X,C", "error: unknown strategy label 'X' for player 1\n"),
+            ("C,X", "error: unknown strategy label 'X' for player 2\n"),
+        ],
+        ids=["player1", "player2"],
+    )
+    def test_unknown_label_message(self, run, pd_file, profile, message):
+        assert run("verify", pd_file, "--profile", profile) == (3, "", message)
+
     def test_malformed_profile_is_usage_error(self, run, pd_file):
         code, _, _ = run("verify", pd_file, "--profile", "DD")
         assert code == 1
+
+
+def _verify_oracle(labels1, labels2, u1, u2, i, j) -> str:
+    """verify's line for profile (i, j), by scanning the column and the row."""
+    column = [row[j] for row in u1]
+    if max(column) > column[i]:
+        best = column.index(max(column))
+        return f"NOT NASH: player 1 deviates {labels1[i]}→{labels1[best]}, gain {max(column) - column[i]}\n"
+    row = u2[i]
+    if max(row) > row[j]:
+        best = row.index(max(row))
+        return f"NOT NASH: player 2 deviates {labels2[j]}→{labels2[best]}, gain {max(row) - row[j]}\n"
+    return "NASH\n"
+
+
+@st.composite
+def _tie_heavy_games(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cell = st.sampled_from((-1, 0, 1))
+    matrix = st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    return [f"r{i}" for i in range(rows)], [f"c{j}" for j in range(cols)], draw(matrix), draw(matrix)
+
+
+@settings(deadline=None)
+@given(spec=_tie_heavy_games())
+def test_verify_matches_oracle_on_every_pure_profile(tmp_path_factory, spec):
+    labels1, labels2, u1, u2 = spec
+    game = make_game(labels1, labels2, u1, u2)
+    path = tmp_path_factory.mktemp("verify") / "tie.game"
+    path.write_text(serialize_game(game, "tie"), encoding="utf-8")
+    for i, row_label in enumerate(labels1):
+        for j, col_label in enumerate(labels2):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(["verify", str(path), "--profile", f"{row_label},{col_label}"])
+            expected = _verify_oracle(labels1, labels2, u1, u2, i, j)
+            assert (code, out.getvalue()) == (0, expected)
+            assert (expected == "NASH\n") == is_nash(game, PureProfile(i, j))
 
 
 class TestReduce:

@@ -68,6 +68,8 @@ class TestRat:
             as_rat(0.25)  # type: ignore[arg-type]
         with pytest.raises(TypeError):
             as_rat(True)  # type: ignore[arg-type]
+        with pytest.raises(TypeError):
+            rat(True, 2)
 
     @given(a=ints, b=nonzero, c=ints, d=nonzero)
     def test_addition_matches_cross_multiplication(self, a, b, c, d):
@@ -144,6 +146,10 @@ class TestValidateGame:
     def test_empty_strategy_set_reported(self):
         g = Game((), ("L",), (), ())
         assert any("no strategies" in p for p in validate_game(g))
+
+    def test_empty_label_reported(self):
+        g = Game(("C",), ("L", ""), ((1, 2),), ((3, 4),))
+        assert validate_game(g) == ["player 2 has an empty strategy label"]
 
     def test_make_game_raises_on_violation(self):
         with pytest.raises(InvalidGameError):

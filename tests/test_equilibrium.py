@@ -68,6 +68,10 @@ class TestBestResponses:
                 top = max(g.u2[i][j] for j in range(cols))
                 assert brs == {j for j in range(cols) if g.u2[i][j] == top}
 
+    def test_bad_player(self):
+        with pytest.raises(ValueError, match="player must be 1 or 2"):
+            best_responses(classical_pd(), 3, 0)  # type: ignore[arg-type]
+
     def test_bounds_checked(self):
         with pytest.raises(IndexError):
             best_responses(classical_pd(), 1, 2)
@@ -151,6 +155,11 @@ class TestDominance:
 
 
 class TestExpectedPayoff:
+    def test_bad_player(self):
+        pure = MixedProfile((1, 0), (0, 1))
+        with pytest.raises(ValueError, match="player must be 1 or 2"):
+            expected_payoff(classical_pd(), 3, pure)  # type: ignore[arg-type]
+
     def test_degenerate_mixture_equals_pure_payoff(self):
         g = classical_pd()
         m = MixedProfile((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))

@@ -152,6 +152,20 @@ class TestParseGame:
         with pytest.raises(ParseError):
             parse_game("game g extra\nrows a\ncols b\npayoffs\na : 1 1\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("game g\ncols x\n", "line 2, column 1: expected 'rows <label> ...'"),
+            ("game g\nrows\n", "line 2, column 1: player 1 needs at least one strategy label"),
+            ("game g\nrows a\ncols x\n  payoffs a\n", "line 4, column 3: expected 'payoffs' on a line of its own"),
+        ],
+        ids=["rows-keyword", "no-row-labels", "payoffs-line"],
+    )
+    def test_section_line_errors(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_game(text)
+        assert str(err.value) == message
+
     def test_trailing_content_rejected(self):
         with pytest.raises(ParseError) as err:
             parse_game(CLASSICAL_DOC + "E : 0 0  0 0\n")
@@ -632,6 +646,13 @@ class TestSweepEmission:
 
     def test_empty_row_list_emits_header_only(self):
         assert emit_report([], "csv") == "w,equilibria,dominance\n"
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [("table", "w  equilibria  dominance\n"), ("csv", "w,equilibria,dominance\n"), ("json", "[]\n")],
+    )
+    def test_empty_row_list_in_every_format(self, fmt, text):
+        assert emit_report([], fmt) == text
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_fact_hashes_do_not_grow_with_steps(self, monkeypatch, fmt):
