@@ -3,11 +3,13 @@
 Subcommands: solve (equilibrium/dominance reports for a game file), pd and
 gpd (emit canonical classical/generalized dilemma game files), sweep
 (equilibria across an exact grid of mixture weights), verify (check one pure
-profile), and reduce (drop the silence strategy). Reports go to stdout as
-UTF-8 whatever the locale, diagnostics to stderr. Exit codes: 0 success, 1
-usage error, 2 game file parse error, 3 semantic/validation error (verify
-given a strategy label the game lacks among them), 4 mixed enumeration found
-no equilibrium (a solver defect on some degenerate games).
+profile), and reduce (drop the silence strategy). Labels may hold commas, so
+verify splits --profile at the first comma that leaves a row label and a
+column label of the game. Reports go to stdout as UTF-8 whatever the locale,
+diagnostics to stderr. Exit codes: 0 success, 1 usage error, 2 game file
+parse error, 3 semantic/validation error (verify given a strategy label the
+game lacks among them), 4 mixed enumeration found no equilibrium (a solver
+defect on some degenerate games).
 """
 
 from __future__ import annotations
@@ -35,14 +37,6 @@ EXIT_INVALID = 3
 EXIT_SOLVER = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage; this CLI reserves 2 for file parse errors."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _rational(text: str) -> Rat:
     try:
         return parse_rat(text)
@@ -56,10 +50,7 @@ def _years(text: str) -> tuple[Rat, Rat, Rat, Rat]:
         raise argparse.ArgumentTypeError(
             "expected four comma-separated sentence lengths: FREE,COOP,DEFECT,SUCKER"
         )
-    try:
-        free, coop, defect, sucker = (parse_rat(part) for part in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    free, coop, defect, sucker = (_rational(part) for part in parts)
     return free, coop, defect, sucker
 
 
@@ -73,13 +64,14 @@ def _steps(text: str) -> int:
     return value
 
 
-def _profile(text: str) -> tuple[str, str]:
-    row, sep, col = text.partition(",")
-    if not sep or not row or not col:
+def _profile(text: str) -> list[tuple[str, str]]:
+    # Every comma with text on both sides is a reading; cmd_verify picks one.
+    readings = [(text[:k], text[k + 1:]) for k in range(1, len(text) - 1) if text[k] == ","]
+    if not readings:
         raise argparse.ArgumentTypeError(
             f"expected a profile as ROWLABEL,COLLABEL, got {text!r}"
         )
-    return row, col
+    return readings
 
 
 def _read_document(path: str) -> GameDocument:
@@ -95,7 +87,7 @@ def _read_document(path: str) -> GameDocument:
     return parse_game(text)
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> None:
     doc = _read_document(args.file)
     run_all = not (args.pure or args.mixed or args.dominance)
     report = analyze(
@@ -105,36 +97,31 @@ def cmd_solve(args: argparse.Namespace) -> int:
         dominance=args.dominance or run_all,
     )
     sys.stdout.write(emit_report(report, args.format))
-    return EXIT_OK
 
 
-def cmd_pd(args: argparse.Namespace) -> int:
+def cmd_pd(args: argparse.Namespace) -> None:
     sys.stdout.write(serialize_game(classical_pd(PdParams(*args.years)), "classical_pd"))
-    return EXIT_OK
 
 
-def cmd_gpd(args: argparse.Namespace) -> int:
+def cmd_gpd(args: argparse.Namespace) -> None:
     sem = Mixture(args.w) if args.w is not None else Ambiguous(args.ambiguous)
     sys.stdout.write(serialize_game(generalized_pd(PdParams(*args.years), sem), "generalized_pd"))
-    return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     rows = sweep_mixture(PdParams(*args.years), args.steps)
     sys.stdout.write(emit_report(rows, args.format))
-    return EXIT_OK
 
 
-def _label_index(labels: tuple[str, ...], label: str, player: int) -> int:
-    if label not in labels:
-        raise ValueError(f"unknown strategy label {label!r} for player {player}")
-    return labels.index(label)
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> None:
     game = _read_document(args.file).game
-    row, col = args.profile
-    i, j = _label_index(game.labels1, row, 1), _label_index(game.labels2, col, 2)
+    # When no reading names a row and a column, the first one's unknown label is the error.
+    matches = [(row, col) for row, col in args.profile if row in game.labels1 and col in game.labels2]
+    row, col = (matches or args.profile)[0]
+    for player, labels, label in ((1, game.labels1, row), (2, game.labels2, col)):
+        if label not in labels:
+            raise ValueError(f"unknown strategy label {label!r} for player {player}")
+    i, j = game.labels1.index(row), game.labels2.index(col)
     # The first player with a profitable deviation moves to its lowest-index
     # best response; the profile is Nash when neither player has one.
     best_row, best_col = min(best_responses(game, 1, j)), min(best_responses(game, 2, i))
@@ -145,40 +132,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for player, source, target, gain in deviations:
         if gain > 0:
             print(f"NOT NASH: player {player} deviates {source}→{target}, gain {gain}")
-            return EXIT_OK
+            return
     print("NASH")
-    return EXIT_OK
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
+def cmd_reduce(args: argparse.Namespace) -> None:
     doc = _read_document(args.file)
     sys.stdout.write(serialize_game(reduce_to_classical(doc.game), "classical_pd"))
-    return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="bimatrix",
         description="Exact-arithmetic solver for two-player normal-form games.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     solve = sub.add_parser("solve", help="report equilibria and dominance for a game file")
-    solve.add_argument("file", help="game file path, or - for stdin")
     solve.add_argument("--pure", action="store_true", help="list pure equilibria")
     solve.add_argument("--mixed", action="store_true", help="list mixed equilibria (support enumeration)")
     solve.add_argument("--dominance", action="store_true", help="list dominance facts")
-    solve.add_argument("--format", choices=FORMATS, default="table", help="output format")
     solve.set_defaults(func=cmd_solve)
 
     pd = sub.add_parser("pd", help="emit the classical prisoner's dilemma game file")
-    pd.add_argument(
-        "--years",
-        type=_years,
-        default=(),
-        metavar="F,C,D,S",
-        help="sentence lengths: free, both-cooperate, both-defect, sucker (default 0,1,4,5)",
-    )
     pd.set_defaults(func=cmd_pd)
 
     gpd = sub.add_parser("gpd", help="emit the generalized dilemma with a silence strategy")
@@ -196,26 +172,33 @@ def build_parser() -> _Parser:
         default=None,
         help="ambiguity semantics: worst-case or best-case resolution of silence",
     )
-    gpd.add_argument("--years", type=_years, default=(), metavar="F,C,D,S",
-                     help="sentence lengths as for pd")
     gpd.set_defaults(func=cmd_gpd)
 
     sweep = sub.add_parser("sweep", help="equilibria across a grid of mixture weights")
     sweep.add_argument("--steps", type=_steps, default=10, help="grid resolution: weights k/steps")
-    sweep.add_argument("--years", type=_years, default=(), metavar="F,C,D,S",
-                       help="sentence lengths as for pd")
-    sweep.add_argument("--format", choices=FORMATS, default="table", help="output format")
     sweep.set_defaults(func=cmd_sweep)
 
     verify = sub.add_parser("verify", help="check whether a pure profile is a Nash equilibrium")
-    verify.add_argument("file", help="game file path, or - for stdin")
     verify.add_argument("--profile", type=_profile, required=True, metavar="ROW,COL",
                         help="strategy labels, e.g. D,D")
     verify.set_defaults(func=cmd_verify)
 
     reduce = sub.add_parser("reduce", help="drop the silence strategy from a 3x3 game")
-    reduce.add_argument("file", help="game file path, or - for stdin")
     reduce.set_defaults(func=cmd_reduce)
+
+    # Shared options come after each command's own, in the order its usage line shows.
+    for command in (solve, verify, reduce):
+        command.add_argument("file", help="game file path, or - for stdin")
+    for command in (pd, gpd, sweep):
+        command.add_argument(
+            "--years",
+            type=_years,
+            default=(),
+            metavar="F,C,D,S",
+            help="sentence lengths: free, both-cooperate, both-defect, sucker (default 0,1,4,5)",
+        )
+    for command in (solve, sweep):
+        command.add_argument("--format", choices=FORMATS, default="table", help="output format")
 
     return parser
 
@@ -225,9 +208,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 2 on bad usage; this CLI reserves 2 for file parse errors.
+        return EXIT_USAGE if exc.code == 2 else int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -237,6 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     except NoEquilibriumFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    return EXIT_OK
 
 
 def run() -> None:

@@ -52,6 +52,17 @@ c : 1/2 0  0 0  0 0
 """
 
 
+# Row and column labels with commas in them.
+COMMA_DOC = """\
+game commas
+rows a a,b
+cols b,c c
+payoffs
+a : 1 1  1 0
+a,b : 0 0  0 0
+"""
+
+
 # A degenerate game on which support enumeration finds no equilibrium.
 MISSED_DOC = """\
 game missed
@@ -316,15 +327,25 @@ class TestVerify:
         [
             ("X,C", "error: unknown strategy label 'X' for player 1\n"),
             ("C,X", "error: unknown strategy label 'X' for player 2\n"),
+            ("C,D,X", "error: unknown strategy label 'D,X' for player 2\n"),
         ],
-        ids=["player1", "player2"],
+        ids=["player1", "player2", "first-comma"],
     )
     def test_unknown_label_message(self, run, pd_file, profile, message):
         assert run("verify", pd_file, "--profile", profile) == (3, "", message)
 
-    def test_malformed_profile_is_usage_error(self, run, pd_file):
-        code, _, _ = run("verify", pd_file, "--profile", "DD")
+    @pytest.mark.parametrize("profile", ["DD", "a,", ",x"])
+    def test_malformed_profile_is_usage_error(self, run, pd_file, profile):
+        code, _, _ = run("verify", pd_file, "--profile", profile)
         assert code == 1
+
+    def test_comma_labels_read_at_first_matching_comma(self, run, tmp_path):
+        # a,b,c has two readings, (a, b,c) and (a,b, c), and takes the first; a,b,b,c has one.
+        path = tmp_path / "commas.game"
+        path.write_text(COMMA_DOC, encoding="utf-8")
+        assert run("verify", str(path), "--profile", "a,b,c") == (0, "NASH\n", "")
+        assert run("verify", str(path), "--profile", "a,b,b,c") == (
+            0, "NOT NASH: player 1 deviates a,b→a, gain 1\n", "")
 
 
 def _verify_oracle(labels1, labels2, u1, u2, i, j) -> str:
@@ -345,7 +366,11 @@ def _tie_heavy_games(draw):
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     cell = st.sampled_from((-1, 0, 1))
     matrix = st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
-    return [f"r{i}" for i in range(rows)], [f"c{j}" for j in range(cols)], draw(matrix), draw(matrix)
+    # Row labels may hold commas anywhere; column labels hold none, so each
+    # profile ROW,COL has exactly one reading.
+    row_label = st.sampled_from(("r{}", "r,{}", ",r{}", "r{},", "r,{},x"))
+    labels1 = [draw(row_label).format(i) for i in range(rows)]
+    return labels1, [f"c{j}" for j in range(cols)], draw(matrix), draw(matrix)
 
 
 @settings(deadline=None)
@@ -405,6 +430,43 @@ class TestHarness:
         code, out, _ = run("--help")
         assert code == 0
         assert "solve" in out
+
+    @pytest.mark.parametrize("command", ["solve", "pd", "gpd", "sweep", "verify", "reduce"])
+    def test_subcommand_help_exits_zero(self, run, command):
+        code, out, err = run(command, "-h")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: bimatrix {command} ")
+
+    @pytest.mark.parametrize(
+        "argv,stderr",
+        [
+            ((), "usage: bimatrix [-h] command ...\n"
+                 "bimatrix: error: the following arguments are required: command\n"),
+            (("explode",), "usage: bimatrix [-h] command ...\n"
+                           "bimatrix: error: argument command: invalid choice: 'explode' "
+                           "(choose from solve, pd, gpd, sweep, verify, reduce)\n"),
+            (("sweep", "--steps", "0"), "usage: bimatrix sweep [-h] [--steps STEPS] [--years F,C,D,S]\n"
+                                        "                      [--format {table,csv,json}]\n"
+                                        "bimatrix sweep: error: argument --steps: steps must be at least 1\n"),
+            (("pd", "--years", "1,2,3"), "usage: bimatrix pd [-h] [--years F,C,D,S]\n"
+                                         "bimatrix pd: error: argument --years: expected four "
+                                         "comma-separated sentence lengths: FREE,COOP,DEFECT,SUCKER\n"),
+            (("gpd",), "usage: bimatrix gpd [-h] (--w RAT | --ambiguous {pessimistic,optimistic})\n"
+                       "                    [--years F,C,D,S]\n"
+                       "bimatrix gpd: error: one of the arguments --w --ambiguous is required\n"),
+            (("verify", "FILE", "--profile", "DD"), "usage: bimatrix verify [-h] --profile ROW,COL file\n"
+                                                    "bimatrix verify: error: argument --profile: expected "
+                                                    "a profile as ROWLABEL,COLLABEL, got 'DD'\n"),
+        ],
+        ids=["no-command", "unknown-command", "zero-steps", "three-years", "no-semantics", "no-comma"],
+    )
+    def test_usage_error_bytes(self, run, monkeypatch, pd_file, argv, stderr):
+        # Usage lines wrap at the terminal width.
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(*(pd_file if arg == "FILE" else arg for arg in argv))
+        # Older argparse releases quote each choice in this message.
+        err = err.replace("'solve', 'pd', 'gpd', 'sweep', 'verify', 'reduce'", "solve, pd, gpd, sweep, verify, reduce")
+        assert (code, out, err) == (1, "", stderr)
 
     def test_identical_invocations_are_byte_identical(self, run, pd_file):
         first = run("solve", pd_file, "--format", "csv")
