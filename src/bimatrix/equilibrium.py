@@ -10,7 +10,15 @@ solved over Fraction, and solutions are kept only if every support probability
 is strictly positive and no off-support deviation pays more (weak inequality,
 exact). Unequal sizes are skipped: one player's system then has more unknowns
 than equations, so it never has the unique solution enumeration keeps.
-Intended for small games (each side at most ~6 strategies).
+Supports are drawn only from the strategies that survive iterated strict
+dominance by pure strategies (on the integer payoffs). No equilibrium puts
+weight on a removed strategy, so the same profiles come from the same
+systems; a removed strategy pays strictly less than a survivor against every
+mixture of surviving opponent strategies, so it never ties and the
+degeneracy flag is unchanged; and reduced masks map monotonically to the
+original ones, so the order is unchanged. Weak dominance can lose equilibria
+and is not used. Intended for small games (at most ~6 strategies per side
+after elimination).
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from typing import Iterator, Literal, Sequence
 from .core import Game, MixedProfile, Player, PureProfile, Rat, Record, check_profile, integer_payoffs
 
 Mode = Literal["strict", "weak"]
+IntMatrix = Sequence[Sequence[int]]
 
 
 class NoEquilibriumFoundError(RuntimeError):
@@ -128,7 +137,7 @@ def is_strict(g: Game, p: PureProfile) -> bool:
     return _strict_at(g.u1, g.u2, p.i, p.j)
 
 
-def _pure_profiles(u1: Sequence[Sequence[int]], u2: Sequence[Sequence[int]]) -> list[PureProfile]:
+def _pure_profiles(u1: IntMatrix, u2: IntMatrix) -> list[PureProfile]:
     """The pure equilibria of integer payoffs, in lexicographic order, in O(mn)."""
     col_best = [max(column) for column in zip(*u1)]
     row_best = [max(row) for row in u2]
@@ -161,9 +170,7 @@ def _dominance_mode(dominated: Sequence[int], dominator: Sequence[int]) -> Mode 
     return "weak" if better else None
 
 
-def _dominance_pairs(
-    u1: Sequence[Sequence[int]], u2: Sequence[Sequence[int]]
-) -> Iterator[tuple[Player, int, int, Mode]]:
+def _dominance_pairs(u1: IntMatrix, u2: IntMatrix) -> Iterator[tuple[Player, int, int, Mode]]:
     """Every dominated pair of integer payoffs as (player, dominated,
     dominator, strongest mode).
 
@@ -227,8 +234,20 @@ def _solve_square(a: list[list[Rat]], b: list[Rat]) -> list[Rat] | None:
     return [row[n] for row in aug]
 
 
-def _bits(mask: int, size: int) -> tuple[int, ...]:
-    return tuple(k for k in range(size) if mask >> k & 1)
+def _bits(mask: int, indices: Sequence[int]) -> tuple[int, ...]:
+    return tuple(k for b, k in enumerate(indices) if mask >> b & 1)
+
+
+def _undominated(u1: IntMatrix, u2: IntMatrix) -> tuple[list[int], list[int]]:
+    """The rows and columns, ascending, that survive iterated elimination of
+    every strategy another pure strategy strictly dominates on the survivors."""
+    rows, cols = list(range(len(u1))), list(range(len(u1[0])))
+    while True:
+        kept_rows = [a for a in rows if not any(all(u1[b][j] > u1[a][j] for j in cols) for b in rows)]
+        kept_cols = [a for a in cols if not any(all(u2[i][b] > u2[i][a] for i in kept_rows) for b in cols)]
+        if (kept_rows, kept_cols) == (rows, cols):
+            return rows, cols
+        rows, cols = kept_rows, kept_cols
 
 
 def _opponent_mixture(
@@ -265,19 +284,21 @@ def _opponent_mixture(
     return mixture, tied
 
 
-def _enumerate_mixed(g: Game) -> tuple[list[MixedProfile], bool]:
+def _enumerate_mixed(g: Game, u1: IntMatrix, u2: IntMatrix) -> tuple[list[MixedProfile], bool]:
     """All isolated support-enumeration equilibria plus a degeneracy flag.
 
-    Each profile found has exactly the supports it was solved on, so none
-    repeats, and the list comes in (row mask, column mask) order.
+    u1 and u2 are g's core.integer_payoffs. Supports are drawn from the
+    strategies that survive iterated strict dominance. Each profile found
+    has exactly the supports it was solved on, so none repeats, and the list
+    comes in (row mask, column mask) order over the original indices.
     """
-    rows, cols = g.shape
+    rows, cols = _undominated(u1, u2)
     u2_by_column = tuple(zip(*g.u2))
     found: list[MixedProfile] = []
     degenerate = False
-    for mask1 in range(1, 1 << rows):
+    for mask1 in range(1, 1 << len(rows)):
         support1 = _bits(mask1, rows)
-        for mask2 in range(1, 1 << cols):
+        for mask2 in range(1, 1 << len(cols)):
             if mask2.bit_count() != len(support1):
                 continue
             support2 = _bits(mask2, cols)
@@ -293,8 +314,8 @@ def _enumerate_mixed(g: Game) -> tuple[list[MixedProfile], bool]:
     return found, degenerate
 
 
-def _mixed_or_raise(g: Game) -> tuple[list[MixedProfile], bool]:
-    found, degenerate = _enumerate_mixed(g)
+def _mixed_or_raise(g: Game, u1: IntMatrix, u2: IntMatrix) -> tuple[list[MixedProfile], bool]:
+    found, degenerate = _enumerate_mixed(g, u1, u2)
     if not found:
         raise NoEquilibriumFoundError(
             "support enumeration found no equilibrium; this is a solver defect"
@@ -305,11 +326,15 @@ def _mixed_or_raise(g: Game) -> tuple[list[MixedProfile], bool]:
 def mixed_equilibria(g: Game) -> list[MixedProfile]:
     """All mixed equilibria found by exact support enumeration.
 
-    Pure equilibria appear as degenerate mixtures. Raises
+    Only strategies that survive iterated strict dominance are enumerated;
+    the list, its order and the degeneracy flag are those of enumerating
+    every support (see the module docstring). Pure equilibria appear as
+    degenerate mixtures. Raises
     NoEquilibriumFoundError if nothing is found, since that can only mean a
     defect, not an equilibrium-free game.
     """
-    found, _ = _mixed_or_raise(g)
+    _, u1, u2 = integer_payoffs(g)
+    found, _ = _mixed_or_raise(g, u1, u2)
     return found
 
 
@@ -330,7 +355,7 @@ def analyze(
     mixed_found: tuple[MixedProfile, ...] | None = None
     degenerate: bool | None = None
     if mixed:
-        found, degenerate = _mixed_or_raise(g)
+        found, degenerate = _mixed_or_raise(g, u1, u2)
         mixed_found = tuple(found)
     facts = tuple(DominanceFact(*pair) for pair in _dominance_pairs(u1, u2)) if dominance else None
     return EquilibriumReport(

@@ -1,8 +1,9 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own solver paths: pure
-equilibria are found by scanning every profile and every deviation, and mixed
-profiles are checked by summing expected payoffs directly.
+equilibria are found by scanning every profile and every deviation, mixed
+profiles are checked by summing expected payoffs directly, and the reference
+support enumeration has its own elimination and no dominance step.
 """
 
 from __future__ import annotations
@@ -83,3 +84,72 @@ def assert_mixed_profile_sound(g: Game, m: MixedProfile) -> None:
             assert value <= target, (
                 f"player {who} off-support strategy {k} pays {value} > {target}"
             )
+
+
+def _solve_by_substitution(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
+    """The unique solution of square a z = b by forward elimination and back
+    substitution, or None when a is singular."""
+    n = len(a)
+    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if pivot is None:
+            return None
+        m[c], m[pivot] = m[pivot], m[c]
+        for r in range(c + 1, n):
+            factor = m[r][c] / m[c][c]
+            m[r] = [v - factor * w for v, w in zip(m[r], m[c])]
+    z = [Fraction(0)] * n
+    for c in reversed(range(n)):
+        z[c] = (m[c][n] - sum(m[c][k] * z[k] for k in range(c + 1, n))) / m[c][c]
+    return z
+
+
+def _indifference(pay, own: list[int], other: list[int]) -> list[Fraction] | None:
+    """Opponent probabilities on `other`, then the common payoff, that make
+    every strategy in `own` pay the same, with pay(own, other) the payoff;
+    None when that system has no unique solution."""
+    a = [[Fraction(pay(s, t)) for t in other] + [Fraction(-1)] for s in own]
+    a.append([Fraction(1)] * len(other) + [Fraction(0)])
+    return _solve_by_substitution(a, [Fraction(0)] * len(own) + [Fraction(1)])
+
+
+def reference_support_enumeration(g: Game) -> tuple[list[MixedProfile], bool]:
+    """Plain support enumeration: the profiles found and whether any of them
+    has an off-support strategy tying its player's equilibrium payoff.
+
+    Every pair of nonempty supports of equal size is tried, row mask outer and
+    column mask inner, both ascending. A pair gives an equilibrium when each
+    player's indifference system (the opponent's probabilities on its support
+    and the common payoff) has a unique solution, every support probability
+    is positive, and no strategy pays more than that payoff.
+    """
+    rows, cols = g.shape
+    found: list[MixedProfile] = []
+    tie = False
+    for mask1 in range(1, 1 << rows):
+        s1 = [i for i in range(rows) if mask1 >> i & 1]
+        for mask2 in range(1, 1 << cols):
+            s2 = [j for j in range(cols) if mask2 >> j & 1]
+            if len(s1) != len(s2):
+                continue
+            # y on s2 with value v1 equalizes player 1's rows in s1, and x on
+            # s1 with value v2 equalizes player 2's columns in s2.
+            ys = _indifference(lambda i, j: g.u1[i][j], s1, s2)
+            xs = _indifference(lambda j, i: g.u2[i][j], s2, s1)
+            if ys is None or xs is None or min(ys[:-1] + xs[:-1]) <= 0:
+                continue
+            y = [Fraction(0)] * cols
+            for j, p in zip(s2, ys):
+                y[j] = p
+            x = [Fraction(0)] * rows
+            for i, p in zip(s1, xs):
+                x[i] = p
+            pays1 = [sum(g.u1[i][j] * y[j] for j in range(cols)) for i in range(rows)]
+            pays2 = [sum(g.u2[i][j] * x[i] for i in range(rows)) for j in range(cols)]
+            v1, v2 = ys[-1], xs[-1]
+            if max(pays1) > v1 or max(pays2) > v2:
+                continue
+            found.append(MixedProfile(x, y))
+            tie = tie or pays1.count(v1) > len(s1) or pays2.count(v2) > len(s2)
+    return found, tie

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimatrix.core import MixedProfile, PureProfile, make_game
+from bimatrix.core import MixedProfile, PureProfile, integer_payoffs, make_game
 from bimatrix.dilemma import Ambiguous, Mixture, PdParams, classical_pd, generalized_pd
 from bimatrix import equilibrium
 from bimatrix.equilibrium import (
@@ -26,7 +26,12 @@ from bimatrix.equilibrium import (
     pure_equilibria,
 )
 
-from helpers import assert_mixed_profile_sound, brute_force_pure, random_game
+from helpers import (
+    assert_mixed_profile_sound,
+    brute_force_pure,
+    random_game,
+    reference_support_enumeration,
+)
 
 
 def matching_pennies():
@@ -235,7 +240,7 @@ class TestMixedEquilibria:
         assert checked > 5
 
     def test_empty_result_raises_internal_error(self, monkeypatch):
-        monkeypatch.setattr(equilibrium, "_enumerate_mixed", lambda g: ([], False))
+        monkeypatch.setattr(equilibrium, "_enumerate_mixed", lambda g, u1, u2: ([], False))
         with pytest.raises(NoEquilibriumFoundError):
             mixed_equilibria(classical_pd())
 
@@ -360,6 +365,102 @@ def test_order_and_degenerate_flag_pinned_on_games_with_ties(name):
     g = build()
     assert mixed_equilibria(g) == [MixedProfile(_vector(x), _vector(y)) for x, y in expected]
     assert analyze(g).degenerate is degenerate
+
+
+class TestSupportEnumerationOracle:
+    """The mixed list, its order and the degenerate flag against
+    helpers.reference_support_enumeration, which shares no code with the
+    solver and removes no dominated strategy."""
+
+    @staticmethod
+    def check(g):
+        expected, tie = reference_support_enumeration(g)
+        if not expected:
+            with pytest.raises(NoEquilibriumFoundError):
+                mixed_equilibria(g)
+            return
+        assert mixed_equilibria(g) == expected
+        assert analyze(g).degenerate is tie
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4))
+    def test_matches_reference_on_unit_payoff_games(self, data, rows, cols):
+        matrix = st.lists(
+            st.lists(st.integers(-1, 1), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        )
+        self.check(_int_game(data.draw(matrix), data.draw(matrix)))
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_on_random_games(self, seed):
+        self.check(random_game(random.Random(seed), 5, 5))
+
+
+def _claims_game(n):
+    """A traveler's-dilemma variant on claims 0..n-1: the lower claim plus 2
+    for its claimant, a tie pays the claim, and the higher claim j - 2 - (i - j).
+    Each round of strict dominance removes both players' top claim, so only
+    (0, 0) survives after n - 1 rounds."""
+
+    def pay(i, j):
+        return i + 2 if i < j else i if i == j else 2 * j - i - 2
+
+    u1 = [[pay(i, j) for j in range(n)] for i in range(n)]
+    return _int_game(u1, [[pay(j, i) for j in range(n)] for i in range(n)])
+
+
+class TestDominanceReduction:
+    def test_column_falls_only_after_a_row_does(self):
+        # Row 2 is strictly dominated; column 2 is dominated only once row 2
+        # is gone, and the matching-pennies core that is left survives.
+        g = _int_game(
+            [[1, -1, 0], [-1, 1, 0], [-2, -2, -1]], [[-1, 1, -2], [1, -1, -2], [0, 0, 5]]
+        )
+        assert dominance_facts(g, "strict") == [
+            DominanceFact(1, 2, 0, "strict"), DominanceFact(1, 2, 1, "strict")
+        ]
+        _, u1, u2 = integer_payoffs(g)
+        assert equilibrium._undominated(u1, u2) == ([0, 1], [0, 1])
+        half, zero = Fraction(1, 2), Fraction(0)
+        expected, tie = reference_support_enumeration(g)
+        assert expected == [MixedProfile((half, half, zero), (half, half, zero))]
+        assert mixed_equilibria(g) == expected
+        assert analyze(g).degenerate is tie is False
+
+    def test_row_falls_only_after_the_column_does(self):
+        # Row 2 falls, then column 2, which was row 1's only edge, then
+        # row 1 and column 0: three passes leave the strict profile (0, 1).
+        g = _int_game(
+            [[3, 2, 0], [2, 1, 5], [0, 0, -1]], [[1, 2, 0], [1, 0, 0], [0, 0, 9]]
+        )
+        assert dominance_facts(g, "strict") == [
+            DominanceFact(1, 2, 0, "strict"), DominanceFact(1, 2, 1, "strict")
+        ]
+        _, u1, u2 = integer_payoffs(g)
+        assert equilibrium._undominated(u1, u2) == ([0], [1])
+        one, zero = Fraction(1), Fraction(0)
+        assert mixed_equilibria(g) == reference_support_enumeration(g)[0] == [
+            MixedProfile((one, zero, zero), (zero, one, zero))
+        ]
+
+    def test_twelve_by_twelve_solves_one_support_pair(self, monkeypatch):
+        g = _claims_game(12)
+        _, u1, u2 = integer_payoffs(g)
+        assert equilibrium._undominated(u1, u2) == ([0], [0])
+        solved = []
+        original = equilibrium._opponent_mixture
+
+        def counted(u, own_support, other_support):
+            if u is g.u1:
+                solved.append((own_support, other_support))
+            return original(u, own_support, other_support)
+
+        monkeypatch.setattr(equilibrium, "_opponent_mixture", counted)
+        one, zero = Fraction(1), Fraction(0)
+        corner = (one,) + (zero,) * 11
+        assert analyze(g).mixed == (MixedProfile(corner, corner),)
+        # Without the reduction this is C(24, 12) - 1 = 2,704,155 pairs.
+        assert solved == [((0,), (0,))]
 
 
 class TestStructuralProperties:
