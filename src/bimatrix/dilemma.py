@@ -202,12 +202,14 @@ class MixtureCheck(Record):
 def mixture_consistency(g3: Game) -> MixtureCheck:
     """Infer the mixture weight from a 3x3 {C, D, S} game, or refute one.
 
-    Every S-entry must follow the twin rule (module docstring) under one
-    Mixture(w). Entries are scanned in a fixed order (u1 then u2, each S-row
-    then S-column, then (S,S) of u1 and of u2) so the reported counterexample
-    is deterministic. The first entry whose twins differ pins the weight;
-    (S,S) only checks it, and as its twins (S,C) and (S,D) were checked
-    before, it checks the bilinear form in w.
+    Under Mixture(w) every S-entry s, with C twin c and D twin d (module
+    docstring), obeys s - d = w (c - d). Entries are scanned in a fixed order
+    (u1 then u2, each S-row then S-column, then (S,S) of u1 and of u2) so the
+    reported counterexample is deterministic. Until the weight is pinned, an
+    entry whose twins are equal must equal them; the first edge entry whose
+    twins differ pins w, which must lie in [0, 1]. Every later entry is
+    checked by the same equation, so (S,S), whose twins (S,C) and (S,D) were
+    checked before, checks the bilinear form in w.
     """
     _silence_indices(g3)
     if set(g3.labels1) != {"C", "D", "S"} or set(g3.labels2) != {"C", "D", "S"}:
@@ -217,66 +219,43 @@ def mixture_consistency(g3: Game) -> MixtureCheck:
         )
     rows = {label: g3.labels1.index(label) for label in GENERALIZED_LABELS}
     cols = {label: g3.labels2.index(label) for label in GENERALIZED_LABELS}
+    edges = [(p, a, b) for p in (1, 2) for a, b in ("SC", "SD", "CS", "DS")]
 
-    u1, u2 = g3.u1, g3.u2
-    inferred: Rat | None = None
-    for player, u, a, b in (
-        (1, u1, "S", "C"), (1, u1, "S", "D"), (1, u1, "C", "S"), (1, u1, "D", "S"),
-        (2, u2, "S", "C"), (2, u2, "S", "D"), (2, u2, "C", "S"), (2, u2, "D", "S"),
-        (1, u1, "S", "S"), (2, u2, "S", "S"),
-    ):
+    w: Rat | None = None
+    for player, a, b in edges + [(1, "S", "S"), (2, "S", "S")]:
+        u = g3.u1 if player == 1 else g3.u2
         # The C and D twins read the entry's last S as C, then as D.
         twins = ((a, "C"), (a, "D")) if b == "S" else (("C", b), ("D", b))
         name, s_val = f"u{player}({a},{b})", u[rows[a]][cols[b]]
         c_val, d_val = (u[rows[x]][cols[y]] for x, y in twins)
         corner = a == b
-        if corner and inferred is not None:
-            expected = inferred * c_val + (1 - inferred) * d_val
-            if s_val != expected:
-                return MixtureCheck(
-                    consistent=False,
-                    counterexample=(
-                        f"{name} = {s_val} does not match the bilinear form "
-                        f"{expected} at weight {inferred}"
-                    ),
-                )
-        elif c_val == d_val:
-            if s_val == d_val:
-                continue
-            # A corner gets here only when no entry pinned the weight, which
-            # makes every C/D entry of its tensor equal d_val.
-            if corner:
-                return MixtureCheck(
-                    consistent=False,
-                    counterexample=f"{name} = {s_val} but every C/D entry equals {d_val}",
-                )
-            return MixtureCheck(
-                consistent=False,
-                counterexample=(
-                    f"{name} = {s_val} but the C and D entries both equal {d_val}, "
-                    "so no weight can produce it"
-                ),
-            )
-        else:
+        # A corner never pins the weight: when no edge pinned it, every C/D
+        # entry of its tensor is equal, so the corner's twins are equal too.
+        if w is None and c_val != d_val:
             w = (s_val - d_val) / (c_val - d_val)
-            if inferred is None:
-                if not 0 <= w <= 1:
-                    return MixtureCheck(
-                        consistent=False,
-                        counterexample=f"{name} implies weight {w}, outside [0, 1]",
-                    )
-                inferred = w
-            elif w != inferred:
-                return MixtureCheck(
-                    consistent=False,
-                    counterexample=(
-                        f"{name} implies weight {w}, conflicting with the already "
-                        f"inferred weight {inferred}"
-                    ),
-                )
-    if inferred is None:
-        return MixtureCheck(consistent=True, any_weight=True)
-    return MixtureCheck(consistent=True, w=inferred)
+            if 0 <= w <= 1:
+                continue
+            message = f"{name} implies weight {w}, outside [0, 1]"
+        # Unpinned, the twins are equal here and every weight gives d_val.
+        elif s_val - d_val == (w or 0) * (c_val - d_val):
+            continue
+        elif corner and w is not None:
+            expected = w * c_val + (1 - w) * d_val
+            message = f"{name} = {s_val} does not match the bilinear form {expected} at weight {w}"
+        elif c_val != d_val:
+            message = (
+                f"{name} implies weight {(s_val - d_val) / (c_val - d_val)}, "
+                f"conflicting with the already inferred weight {w}"
+            )
+        elif corner:
+            message = f"{name} = {s_val} but every C/D entry equals {d_val}"
+        else:
+            message = (
+                f"{name} = {s_val} but the C and D entries both equal {d_val}, "
+                "so no weight can produce it"
+            )
+        return MixtureCheck(consistent=False, counterexample=message)
+    return MixtureCheck(consistent=True, w=w, any_weight=w is None)
 
 
 class SweepRow(Record):

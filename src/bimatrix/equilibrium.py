@@ -291,6 +291,7 @@ def _enumerate_mixed(g: Game, u1: IntMatrix, u2: IntMatrix) -> tuple[list[MixedP
     strategies that survive iterated strict dominance. Each profile found
     has exactly the supports it was solved on, so none repeats, and the list
     comes in (row mask, column mask) order over the original indices.
+    Raises NoEquilibriumFoundError when nothing is found.
     """
     rows, cols = _undominated(u1, u2)
     u2_by_column = tuple(zip(*g.u2))
@@ -311,11 +312,6 @@ def _enumerate_mixed(g: Game, u1: IntMatrix, u2: IntMatrix) -> tuple[list[MixedP
             (y, tied1), (x, tied2) = side1, side2
             found.append(MixedProfile(x, y))
             degenerate = degenerate or tied1 or tied2
-    return found, degenerate
-
-
-def _mixed_or_raise(g: Game, u1: IntMatrix, u2: IntMatrix) -> tuple[list[MixedProfile], bool]:
-    found, degenerate = _enumerate_mixed(g, u1, u2)
     if not found:
         raise NoEquilibriumFoundError(
             "support enumeration found no equilibrium; this is a solver defect"
@@ -334,7 +330,7 @@ def mixed_equilibria(g: Game) -> list[MixedProfile]:
     defect, not an equilibrium-free game.
     """
     _, u1, u2 = integer_payoffs(g)
-    found, _ = _mixed_or_raise(g, u1, u2)
+    found, _ = _enumerate_mixed(g, u1, u2)
     return found
 
 
@@ -355,7 +351,7 @@ def analyze(
     mixed_found: tuple[MixedProfile, ...] | None = None
     degenerate: bool | None = None
     if mixed:
-        found, degenerate = _mixed_or_raise(g, u1, u2)
+        found, degenerate = _enumerate_mixed(g, u1, u2)
         mixed_found = tuple(found)
     facts = tuple(DominanceFact(*pair) for pair in _dominance_pairs(u1, u2)) if dominance else None
     return EquilibriumReport(

@@ -19,7 +19,9 @@ format_rat and each dominance fact a dict. Table and csv text is rendered from
 those records, and JSON text by one writer, _json_value. For records of str,
 int, bool, None, list and dict it writes the bytes of json.dumps(obj,
 indent=2), quoting strings with json's C encode_basestring_ascii; any other
-type, a float or a tuple among them, raises TypeError.
+type, a float or a tuple among them, raises TypeError. A csv mixed cell lists
+its probabilities separated by ';', which no rational contains, so each part
+reads back with parse_rat.
 
 A sweep's outcomes are piecewise constant in the weight, so emission works
 per run of equal outcomes: each run's outcome is rendered once, as the members
@@ -365,7 +367,7 @@ _SECTIONS = (
     (
         "mixed", "mixed equilibria", ("kind", "x", "y"),
         lambda m: f"x=({', '.join(m['x'])})  y=({', '.join(m['y'])})",
-        lambda m: ("mixed", "/".join(m["x"]), "/".join(m["y"])),
+        lambda m: ("mixed", ";".join(m["x"]), ";".join(m["y"])),
     ),
     (
         "dominance", "dominance", ("kind", "player", "dominated", "dominator", "mode"),

@@ -185,7 +185,7 @@ class TestSolve:
     def test_mixed_section_for_pennies(self, run, pennies_file):
         code, out, _ = run("solve", pennies_file, "--mixed", "--format", "csv")
         assert code == 0
-        assert out == "kind,x,y\nmixed,1/2/1/2,1/2/1/2\n"
+        assert out == "kind,x,y\nmixed,1/2;1/2,1/2;1/2\n"
 
     def test_nul_label_in_csv(self, run, tmp_path):
         # Python 3.10's csv writer cannot write NUL at all; later ones write it unquoted.

@@ -217,6 +217,66 @@ class TestReduction:
             reduce_to_classical(g)
 
 
+_SMALL_RATS = st.fractions(-6, 6, max_denominator=3)
+_ENTRIES = [(a, b) for a in "CDS" for b in "CDS"]
+
+
+@st.composite
+def _silence_games(draw):
+    """3x3 games over C, D, S in random row and column orders: random tensors,
+    a Mixture game with one S-entry shifted (possibly by 0), or constant C/D
+    blocks whose S-entries each equal the block or are random."""
+    kind = draw(st.sampled_from(["random", "perturbed", "constant"]))
+    if kind == "random":
+        tensors = [{e: draw(_SMALL_RATS) for e in _ENTRIES} for _ in range(2)]
+    elif kind == "perturbed":
+        rng = draw(st.randoms(use_true_random=False))
+        g = generalized_pd(random_params(rng), Mixture(random_weight(rng)))
+        tensors = [
+            {(a, b): u[i][j] for i, a in enumerate(g.labels1) for j, b in enumerate(g.labels2)}
+            for u in (g.u1, g.u2)
+        ]
+        entry = draw(st.sampled_from([e for e in _ENTRIES if "S" in e]))
+        tensors[draw(st.integers(0, 1))][entry] += draw(_SMALL_RATS)
+    else:
+        tensors = []
+        for _ in range(2):
+            block = draw(_SMALL_RATS)
+            tensors.append({
+                e: block if "S" not in e else draw(st.one_of(st.just(block), _SMALL_RATS))
+                for e in _ENTRIES
+            })
+    rows, cols = draw(st.permutations("CDS")), draw(st.permutations("CDS"))
+    u1, u2 = ([[t[a, b] for b in cols] for a in rows] for t in tensors)
+    return make_game(rows, cols, u1, u2)
+
+
+def _weight_set_oracle(g):
+    """The set of weights in [0, 1] that fit every S-entry so far, entry by
+    entry in the documented scan order. Each S-entry s with C twin c and
+    D twin d (its last S read as C, as D) asks (c - d) w = s - d.
+
+    Returns the counterexample's "u<p>(<a>,<b>) " prefix when the set becomes
+    empty, else None when it stays all of [0, 1], else its one point."""
+    at = lambda u, a, b: u[g.labels1.index(a)][g.labels2.index(b)]
+    edges = [(p, a, b) for p in (1, 2) for a, b in (("S", "C"), ("S", "D"), ("C", "S"), ("D", "S"))]
+    point = None
+    for p, a, b in edges + [(1, "S", "S"), (2, "S", "S")]:
+        u = g.u1 if p == 1 else g.u2
+        twin = (lambda x: (a, x)) if b == "S" else (lambda x: (x, b))
+        s, c, d = at(u, a, b), at(u, *twin("C")), at(u, *twin("D"))
+        if point is not None:
+            fits = (c - d) * point == s - d
+        elif c == d:
+            fits = s == d
+        else:
+            point = (s - d) / (c - d)
+            fits = 0 <= point <= 1
+        if not fits:
+            return f"u{p}({a},{b}) "
+    return point
+
+
 class TestMixtureConsistency:
     def test_recovers_the_construction_weight(self):
         check = mixture_consistency(generalized_pd(PdParams(), Mixture(Fraction(2, 3))))
@@ -365,6 +425,19 @@ class TestMixtureConsistency:
             w = random_weight(rng)
             check = mixture_consistency(generalized_pd(params, Mixture(w)))
             assert check.consistent and check.w == w
+
+    @settings(deadline=None, max_examples=400)
+    @given(game=_silence_games())
+    def test_against_weight_set_oracle(self, game):
+        expected = _weight_set_oracle(game)
+        check = mixture_consistency(game)
+        if isinstance(expected, str):
+            assert (check.consistent, check.w, check.any_weight) == (False, None, False)
+            assert (check.counterexample or "").startswith(expected)
+        elif expected is None:
+            assert check == MixtureCheck(consistent=True, any_weight=True)
+        else:
+            assert check == MixtureCheck(consistent=True, w=expected)
 
 
 class TestSweep:

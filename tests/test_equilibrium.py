@@ -239,10 +239,14 @@ class TestMixedEquilibria:
                 assert all((2, j) not in dominated for j in sup2)
         assert checked > 5
 
-    def test_empty_result_raises_internal_error(self, monkeypatch):
-        monkeypatch.setattr(equilibrium, "_enumerate_mixed", lambda g, u1, u2: ([], False))
+    def test_empty_result_raises_internal_error(self):
+        # MISSED_DOC of test_cli.py: a degenerate game whose equilibria
+        # support enumeration misses; a report without the mixed section
+        # never enumerates, so it does not raise.
+        g = _int_game([[1, 1, -1], [-1, 1, 0], [-1, 0, 1]], [[-1, 0, 1], [1, 0, -1], [0, 1, 0]])
         with pytest.raises(NoEquilibriumFoundError):
-            mixed_equilibria(classical_pd())
+            mixed_equilibria(g)
+        assert analyze(g, mixed=False).mixed is None
 
     def test_rock_paper_scissors_unique_uniform(self):
         u1 = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
