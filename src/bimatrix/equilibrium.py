@@ -17,7 +17,12 @@ systems; a removed strategy pays strictly less than a survivor against every
 mixture of surviving opponent strategies, so it never ties and the
 degeneracy flag is unchanged; and reduced masks map monotonically to the
 original ones, so the order is unchanged. Weak dominance can lose equilibria
-and is not used. Intended for small games (at most ~6 strategies per side
+and is not used. A column support is also skipped unsolved when it holds a
+column that another column beats for player 2 on every row of the row
+support (conditional strict dominance, Porter, Nudelman & Shoham 2008): such
+a column pays strictly less against every mixture on that row support, so
+player 2's system would reject the pair, and the list, its order and the
+flag stay the same. Intended for small games (at most ~7 strategies per side
 after elimination).
 """
 
@@ -292,15 +297,32 @@ def _enumerate_mixed(g: Game, u1: IntMatrix, u2: IntMatrix) -> tuple[list[MixedP
     has exactly the supports it was solved on, so none repeats, and the list
     comes in (row mask, column mask) order over the original indices.
     Raises NoEquilibriumFoundError when nothing is found.
+
+    A column support is skipped unsolved when it holds a column a that some
+    column b beats for player 2 against every row of the row support
+    (beats[a][b] covers mask1). The row support gives each of its rows
+    positive weight, so a pays strictly less than b against player 1's
+    mixture, and _opponent_mixture(u2_by_column, ...) rejects the pair: with
+    b in the support the two cannot tie, without it b gains off-support.
+    Only found pairs set `degenerate`, so the list, its order and the flag
+    are unchanged.
     """
     rows, cols = _undominated(u1, u2)
     u2_by_column = tuple(zip(*g.u2))
+    # beats[a][b]: the row positions where column b pays player 2 more than a.
+    beats = [
+        [sum(1 << k for k, i in enumerate(rows) if u2[i][b] > u2[i][a]) for b in cols]
+        for a in cols
+    ]
     found: list[MixedProfile] = []
     degenerate = False
     for mask1 in range(1, 1 << len(rows)):
         support1 = _bits(mask1, rows)
+        excluded = sum(
+            1 << k for k, row in enumerate(beats) if any(m & mask1 == mask1 for m in row)
+        )
         for mask2 in range(1, 1 << len(cols)):
-            if mask2.bit_count() != len(support1):
+            if mask2.bit_count() != len(support1) or mask2 & excluded:
                 continue
             support2 = _bits(mask2, cols)
             side1 = _opponent_mixture(g.u1, support1, support2)

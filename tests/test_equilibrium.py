@@ -413,6 +413,20 @@ def _claims_game(n):
     return _int_game(u1, [[pay(j, i) for j in range(n)] for i in range(n)])
 
 
+def _player1_solves(monkeypatch, g):
+    """The (own, other) supports of every player-1 system solved on g from now on."""
+    solved = []
+    original = equilibrium._opponent_mixture
+
+    def counted(u, own_support, other_support):
+        if u is g.u1:
+            solved.append((own_support, other_support))
+        return original(u, own_support, other_support)
+
+    monkeypatch.setattr(equilibrium, "_opponent_mixture", counted)
+    return solved
+
+
 class TestDominanceReduction:
     def test_column_falls_only_after_a_row_does(self):
         # Row 2 is strictly dominated; column 2 is dominated only once row 2
@@ -451,20 +465,25 @@ class TestDominanceReduction:
         g = _claims_game(12)
         _, u1, u2 = integer_payoffs(g)
         assert equilibrium._undominated(u1, u2) == ([0], [0])
-        solved = []
-        original = equilibrium._opponent_mixture
-
-        def counted(u, own_support, other_support):
-            if u is g.u1:
-                solved.append((own_support, other_support))
-            return original(u, own_support, other_support)
-
-        monkeypatch.setattr(equilibrium, "_opponent_mixture", counted)
+        solved = _player1_solves(monkeypatch, g)
         one, zero = Fraction(1), Fraction(0)
         corner = (one,) + (zero,) * 11
         assert analyze(g).mixed == (MixedProfile(corner, corner),)
         # Without the reduction this is C(24, 12) - 1 = 2,704,155 pairs.
         assert solved == [((0,), (0,))]
+
+    def test_rock_paper_scissors_skips_conditionally_dominated_columns(self, monkeypatch):
+        # Nothing is strictly dominated, but against each row support of
+        # size 1 or 2 some column loses to another on every row: only
+        # 3 + 3 + 1 of the 19 equal-size support pairs are solved.
+        a = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
+        g = _int_game(a, [[-v for v in row] for row in a])
+        solved = _player1_solves(monkeypatch, g)
+        third = (Fraction(1, 3),) * 3
+        assert mixed_equilibria(g) == reference_support_enumeration(g)[0] == [
+            MixedProfile(third, third)
+        ]
+        assert len(solved) == 7
 
 
 class TestStructuralProperties:
