@@ -4,32 +4,42 @@ Pure equilibria are checked directly against the weak-inequality best-response
 conditions. They and dominance compare payoffs scaled to integers by the LCM
 of their denominators (core.integer_payoffs); scaling by one positive integer
 keeps the order of the values, so both stay exact.
-Mixed equilibria come from support enumeration: for every pair of
-nonempty supports of equal size, each player's square indifference system is
-solved over Fraction, and solutions are kept only if every support probability
-is strictly positive and no off-support deviation pays more (weak inequality,
+
+Mixed equilibria come from support enumeration: for every pair of nonempty
+supports of equal size, each player's square indifference system is solved
+over Fraction, and solutions are kept only if every support probability is
+strictly positive and no off-support deviation pays more (weak inequality,
 exact). Unequal sizes are skipped: one player's system then has more unknowns
 than equations, so it never has the unique solution enumeration keeps.
-Supports are drawn only from the strategies that survive iterated strict
-dominance by pure strategies (on the integer payoffs). No equilibrium puts
-weight on a removed strategy, so the same profiles come from the same
-systems; a removed strategy pays strictly less than a survivor against every
-mixture of surviving opponent strategies, so it never ties and the
-degeneracy flag is unchanged; and reduced masks map monotonically to the
-original ones, so the order is unchanged. Weak dominance can lose equilibria
-and is not used. A column support is also skipped unsolved when it holds a
-column that another column beats for player 2 on every row of the row
-support (conditional strict dominance, Porter, Nudelman & Shoham 2008): such
-a column pays strictly less against every mixture on that row support, so
-player 2's system would reject the pair, and the list, its order and the
-flag stay the same. Intended for small games (at most ~7 strategies per side
-after elimination).
+Intended for small games (at most ~7 strategies per side after elimination).
+
+Strict dominance is decided by one test, `all(map(gt, vb, va))`: strategy b
+pays strictly more than strategy a against every opponent strategy held.
+Dominance facts apply it to whole strategies, and mixed enumeration uses it,
+through _dominated, to prune supports in two ways:
+- Elimination. Supports are drawn only from the strategies that survive
+  iterated strict dominance by pure strategies. A removed strategy pays
+  strictly less than a survivor against every mixture of surviving opponent
+  strategies, so no equilibrium puts weight on it and it never ties the
+  equilibrium payoff: the same profiles come from the same systems and the
+  degeneracy flag is unchanged. Weak dominance can lose equilibria and is
+  not used.
+- Exclusion. A column support is skipped unsolved when it holds a column
+  that another column beats for player 2 on every row of the row support
+  (conditional strict dominance, Porter, Nudelman & Shoham 2008). Each row
+  of the support has positive weight, so that column pays strictly less
+  against player 1's mixture, and player 2's system rejects the pair: with
+  the better column in the support the two cannot tie, without it that
+  column gains off-support. Only found pairs set the flag.
+Either way the list, its order and the flag are those of enumerating every
+support: reduced masks map monotonically to the original ones.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import gt, lt
 from typing import Iterator, Literal, Sequence
 
 from .core import Game, MixedProfile, Player, PureProfile, Rat, Record, check_profile, integer_payoffs
@@ -160,21 +170,6 @@ def pure_equilibria(g: Game) -> list[PureProfile]:
     return _pure_profiles(u1, u2)
 
 
-def _dominance_mode(dominated: Sequence[int], dominator: Sequence[int]) -> Mode | None:
-    """How `dominator` dominates `dominated` payoff-wise, or None if it does not."""
-    better = tied = False
-    for a, b in zip(dominated, dominator):
-        if b < a:
-            return None
-        if b > a:
-            better = True
-        else:
-            tied = True
-    if not tied:
-        return "strict"
-    return "weak" if better else None
-
-
 def _dominance_pairs(u1: IntMatrix, u2: IntMatrix) -> Iterator[tuple[Player, int, int, Mode]]:
     """Every dominated pair of integer payoffs as (player, dominated,
     dominator, strongest mode).
@@ -183,9 +178,9 @@ def _dominance_pairs(u1: IntMatrix, u2: IntMatrix) -> Iterator[tuple[Player, int
     the dominator pays more against every opponent strategy, else "weak".
     """
     for player, vectors in ((1, u1), (2, tuple(zip(*u2)))):
-        for a, b in itertools.product(range(len(vectors)), repeat=2):
-            if a != b and (mode := _dominance_mode(vectors[a], vectors[b])) is not None:
-                yield player, a, b, mode
+        for (a, va), (b, vb) in itertools.product(enumerate(vectors), repeat=2):
+            if va != vb and not any(map(lt, vb, va)):
+                yield player, a, b, "strict" if all(map(gt, vb, va)) else "weak"
 
 
 def dominance_facts(g: Game, mode: Mode) -> list[DominanceFact]:
@@ -243,13 +238,20 @@ def _bits(mask: int, indices: Sequence[int]) -> tuple[int, ...]:
     return tuple(k for b, k in enumerate(indices) if mask >> b & 1)
 
 
+def _dominated(vectors: Sequence[Sequence[int]]) -> list[bool]:
+    """Per vector, whether some other vector is strictly greater in every entry."""
+    return [any(all(map(gt, vb, va)) for vb in vectors) for va in vectors]
+
+
 def _undominated(u1: IntMatrix, u2: IntMatrix) -> tuple[list[int], list[int]]:
     """The rows and columns, ascending, that survive iterated elimination of
     every strategy another pure strategy strictly dominates on the survivors."""
     rows, cols = list(range(len(u1))), list(range(len(u1[0])))
     while True:
-        kept_rows = [a for a in rows if not any(all(u1[b][j] > u1[a][j] for j in cols) for b in rows)]
-        kept_cols = [a for a in cols if not any(all(u2[i][b] > u2[i][a] for i in kept_rows) for b in cols)]
+        dominated = _dominated([[u1[i][j] for j in cols] for i in rows])
+        kept_rows = [i for i, out in zip(rows, dominated) if not out]
+        dominated = _dominated([[u2[i][j] for i in kept_rows] for j in cols])
+        kept_cols = [j for j, out in zip(cols, dominated) if not out]
         if (kept_rows, kept_cols) == (rows, cols):
             return rows, cols
         rows, cols = kept_rows, kept_cols
@@ -292,35 +294,20 @@ def _opponent_mixture(
 def _enumerate_mixed(g: Game, u1: IntMatrix, u2: IntMatrix) -> tuple[list[MixedProfile], bool]:
     """All isolated support-enumeration equilibria plus a degeneracy flag.
 
-    u1 and u2 are g's core.integer_payoffs. Supports are drawn from the
-    strategies that survive iterated strict dominance. Each profile found
+    u1 and u2 are g's core.integer_payoffs. Supports are pruned by
+    elimination and exclusion (see the module docstring). Each profile found
     has exactly the supports it was solved on, so none repeats, and the list
     comes in (row mask, column mask) order over the original indices.
     Raises NoEquilibriumFoundError when nothing is found.
-
-    A column support is skipped unsolved when it holds a column a that some
-    column b beats for player 2 against every row of the row support
-    (beats[a][b] covers mask1). The row support gives each of its rows
-    positive weight, so a pays strictly less than b against player 1's
-    mixture, and _opponent_mixture(u2_by_column, ...) rejects the pair: with
-    b in the support the two cannot tie, without it b gains off-support.
-    Only found pairs set `degenerate`, so the list, its order and the flag
-    are unchanged.
     """
     rows, cols = _undominated(u1, u2)
     u2_by_column = tuple(zip(*g.u2))
-    # beats[a][b]: the row positions where column b pays player 2 more than a.
-    beats = [
-        [sum(1 << k for k, i in enumerate(rows) if u2[i][b] > u2[i][a]) for b in cols]
-        for a in cols
-    ]
     found: list[MixedProfile] = []
     degenerate = False
     for mask1 in range(1, 1 << len(rows)):
         support1 = _bits(mask1, rows)
-        excluded = sum(
-            1 << k for k, row in enumerate(beats) if any(m & mask1 == mask1 for m in row)
-        )
+        dominated = _dominated([[u2[i][j] for i in support1] for j in cols])
+        excluded = sum(1 << k for k, out in enumerate(dominated) if out)
         for mask2 in range(1, 1 << len(cols)):
             if mask2.bit_count() != len(support1) or mask2 & excluded:
                 continue
@@ -344,10 +331,9 @@ def _enumerate_mixed(g: Game, u1: IntMatrix, u2: IntMatrix) -> tuple[list[MixedP
 def mixed_equilibria(g: Game) -> list[MixedProfile]:
     """All mixed equilibria found by exact support enumeration.
 
-    Only strategies that survive iterated strict dominance are enumerated;
-    the list, its order and the degeneracy flag are those of enumerating
-    every support (see the module docstring). Pure equilibria appear as
-    degenerate mixtures. Raises
+    Supports are pruned by strict dominance, with the list, its order and
+    the degeneracy flag of enumerating every support (see the module
+    docstring). Pure equilibria appear as degenerate mixtures. Raises
     NoEquilibriumFoundError if nothing is found, since that can only mean a
     defect, not an equilibrium-free game.
     """

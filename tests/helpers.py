@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own solver paths: pure
 equilibria are found by scanning every profile and every deviation, mixed
-profiles are checked by summing expected payoffs directly, and the reference
-support enumeration has its own elimination and no dominance step.
+profiles are checked by summing expected payoffs directly, the reference
+support enumeration has its own elimination and no dominance step, and the
+reference dominance elimination compares the Fraction payoffs one at a time.
 """
 
 from __future__ import annotations
@@ -153,3 +154,27 @@ def reference_support_enumeration(g: Game) -> tuple[list[MixedProfile], bool]:
             found.append(MixedProfile(x, y))
             tie = tie or pays1.count(v1) > len(s1) or pays2.count(v2) > len(s2)
     return found, tie
+
+
+def reference_undominated(g: Game) -> tuple[list[int], list[int]]:
+    """The rows and columns, ascending, left by iterated strict dominance by
+    pure strategies, compared on the Fraction payoffs with no scaling.
+
+    Each round removes, for both players at once, every strategy that another
+    surviving strategy pays strictly more than against every surviving
+    opponent strategy. Iterated strict dominance by pure strategies ends in
+    the same survivors whatever the order of removal.
+    """
+    rows, cols = list(range(len(g.u1))), list(range(len(g.u1[0])))
+    while True:
+        kept_rows = [
+            a for a in rows
+            if not any(all(g.u1[b][j] > g.u1[a][j] for j in cols) for b in rows if b != a)
+        ]
+        kept_cols = [
+            a for a in cols
+            if not any(all(g.u2[i][b] > g.u2[i][a] for i in rows) for b in cols if b != a)
+        ]
+        if (kept_rows, kept_cols) == (rows, cols):
+            return rows, cols
+        rows, cols = kept_rows, kept_cols

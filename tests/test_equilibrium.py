@@ -31,6 +31,7 @@ from helpers import (
     brute_force_pure,
     random_game,
     reference_support_enumeration,
+    reference_undominated,
 )
 
 
@@ -248,6 +249,26 @@ class TestMixedEquilibria:
             mixed_equilibria(g)
         assert analyze(g, mixed=False).mixed is None
 
+    # A degenerate game where support enumeration misses two extreme
+    # equilibria: both have a row support of size 2 against one column, and
+    # an off-support tie pins each down.
+    MISSED_GAP = (
+        [[1, 1, -1], [0, -2, -1], [1, 2, 1]], [[0, -1, 1], [2, -2, -1], [1, 2, -1]]
+    )
+    MISSED_PROFILES = [("1/2 0 1/2", "1 0 0"), ("2/3 0 1/3", "1 0 0")]
+
+    @pytest.mark.parametrize("x, y", MISSED_PROFILES)
+    def test_missed_profiles_are_equilibria(self, x, y):
+        assert_mixed_profile_sound(_int_game(*self.MISSED_GAP), MixedProfile(_vector(x), _vector(y)))
+
+    @pytest.mark.xfail(strict=True, reason="support enumeration misses extreme equilibria pinned by ties")
+    def test_analyze_lists_every_extreme_equilibrium(self):
+        report = analyze(_int_game(*self.MISSED_GAP))
+        expected = [("0 0 1", "0 1 0")] + self.MISSED_PROFILES
+        assert len(report.mixed) == 3
+        assert set(report.mixed) == {MixedProfile(_vector(x), _vector(y)) for x, y in expected}
+        assert report.degenerate is True
+
     def test_rock_paper_scissors_unique_uniform(self):
         u1 = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
         u2 = [[-v for v in row] for row in u1]
@@ -371,6 +392,39 @@ def test_order_and_degenerate_flag_pinned_on_games_with_ties(name):
     assert analyze(g).degenerate is degenerate
 
 
+def _primes_below(limit: int) -> list[int]:
+    sieve = [True] * limit
+    sieve[:2] = [False, False]
+    for k in range(2, int(limit ** 0.5) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = [False] * len(sieve[k * k::k])
+    return [k for k, prime in enumerate(sieve) if prime]
+
+
+PRIMES = _primes_below(10**4)
+
+
+def _tie_heavy_games(max_side: int = 5):
+    """Games whose entries mostly repeat a few values: zeros, negatives, and
+    large numerators over distinct primes up to 10^4, so the denominators are
+    pairwise coprime and their LCM is huge."""
+
+    @st.composite
+    def build(draw):
+        rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+        fresh = st.builds(
+            Fraction, st.integers(-10**12, 10**12), st.sampled_from(PRIMES)
+        ) | st.just(Fraction(0)) | st.builds(Fraction, st.integers(-3, 3))
+        pool = draw(st.lists(fresh, min_size=1, max_size=4))
+        entry = st.sampled_from(pool) | fresh
+        matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+        return make_game(
+            [f"r{i}" for i in range(rows)], [f"c{j}" for j in range(cols)], draw(matrix), draw(matrix)
+        )
+
+    return build()
+
+
 class TestSupportEnumerationOracle:
     """The mixed list, its order and the degenerate flag against
     helpers.reference_support_enumeration, which shares no code with the
@@ -398,6 +452,34 @@ class TestSupportEnumerationOracle:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_matches_reference_on_random_games(self, seed):
         self.check(random_game(random.Random(seed), 5, 5))
+
+    @settings(deadline=None, max_examples=300)
+    @given(g=_tie_heavy_games(4))
+    def test_matches_reference_on_tie_heavy_games(self, g):
+        self.check(g)
+
+
+class TestEliminationOracle:
+    """_undominated on the scaled integers against
+    helpers.reference_undominated on the Fraction payoffs."""
+
+    @staticmethod
+    def check(g):
+        _, u1, u2 = integer_payoffs(g)
+        assert equilibrium._undominated(u1, u2) == reference_undominated(g)
+
+    @settings(deadline=None, max_examples=500)
+    @given(g=_tie_heavy_games(6))
+    def test_matches_reference_on_tie_heavy_games(self, g):
+        self.check(g)
+
+    @settings(deadline=None, max_examples=500)
+    @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6))
+    def test_matches_reference_on_small_payoff_games(self, data, rows, cols):
+        matrix = st.lists(
+            st.lists(st.integers(-2, 2), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        )
+        self.check(_int_game(data.draw(matrix), data.draw(matrix)))
 
 
 def _claims_game(n):
@@ -566,39 +648,6 @@ class TestAnalyze:
         report = analyze(g, pure=False, mixed=False, dominance=True)
         modes = {(f.player, f.dominated, f.dominator): f.mode for f in report.dominance or ()}
         assert modes[(1, 0, 1)] == "weak"
-
-
-def _primes_below(limit: int) -> list[int]:
-    sieve = [True] * limit
-    sieve[:2] = [False, False]
-    for k in range(2, int(limit ** 0.5) + 1):
-        if sieve[k]:
-            sieve[k * k::k] = [False] * len(sieve[k * k::k])
-    return [k for k, prime in enumerate(sieve) if prime]
-
-
-PRIMES = _primes_below(10**4)
-
-
-def _tie_heavy_games(max_side: int = 5):
-    """Games whose entries mostly repeat a few values: zeros, negatives, and
-    large numerators over distinct primes up to 10^4, so the denominators are
-    pairwise coprime and their LCM is huge."""
-
-    @st.composite
-    def build(draw):
-        rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
-        fresh = st.builds(
-            Fraction, st.integers(-10**12, 10**12), st.sampled_from(PRIMES)
-        ) | st.just(Fraction(0)) | st.builds(Fraction, st.integers(-3, 3))
-        pool = draw(st.lists(fresh, min_size=1, max_size=4))
-        entry = st.sampled_from(pool) | fresh
-        matrix = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
-        return make_game(
-            [f"r{i}" for i in range(rows)], [f"c{j}" for j in range(cols)], draw(matrix), draw(matrix)
-        )
-
-    return build()
 
 
 def _reference_analysis(g):
