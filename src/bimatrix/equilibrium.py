@@ -24,13 +24,15 @@ through _dominated, to prune supports in two ways:
   equilibrium payoff: the same profiles come from the same systems and the
   degeneracy flag is unchanged. Weak dominance can lose equilibria and is
   not used.
-- Exclusion. A column support is skipped unsolved when it holds a column
-  that another column beats for player 2 on every row of the row support
-  (conditional strict dominance, Porter, Nudelman & Shoham 2008). Each row
-  of the support has positive weight, so that column pays strictly less
-  against player 1's mixture, and player 2's system rejects the pair: with
-  the better column in the support the two cannot tie, without it that
-  column gains off-support. Only found pairs set the flag.
+- Exclusion. A support pair is skipped unsolved when one player's support
+  holds a strategy that another surviving strategy of that player beats on
+  every strategy of the opponent's support (conditional strict dominance,
+  Porter, Nudelman & Shoham 2008); _beaten tabulates this once per game
+  for every opponent support. Each strategy of the opponent's support has
+  positive weight, so the beaten strategy pays strictly less against the
+  opponent's mixture, and the player's own system rejects the pair: with
+  the better strategy in the support the two cannot tie, without it that
+  strategy gains off-support. Only found pairs set the flag.
 Either way the list, its order and the flag are those of enumerating every
 support: reduced masks map monotonically to the original ones.
 """
@@ -243,6 +245,21 @@ def _dominated(vectors: Sequence[Sequence[int]]) -> list[bool]:
     return [any(all(map(gt, vb, va)) for vb in vectors) for va in vectors]
 
 
+def _beaten(u: IntMatrix, own: Sequence[int], other: Sequence[int], size: int) -> list[int]:
+    """Per mask over `other` of at most `size` bits, the mask over `own` of
+    the strategies another one of `own` beats on every strategy of the mask.
+
+    u is indexed u[own][other]; wider masks map to 0.
+    """
+    table = [0] * (1 << len(other))
+    for mask in range(1, len(table)):
+        if mask.bit_count() <= size:
+            support = _bits(mask, other)
+            dominated = _dominated([[u[s][t] for t in support] for s in own])
+            table[mask] = sum(1 << k for k, out in enumerate(dominated) if out)
+    return table
+
+
 def _undominated(u1: IntMatrix, u2: IntMatrix) -> tuple[list[int], list[int]]:
     """The rows and columns, ascending, that survive iterated elimination of
     every strategy another pure strategy strictly dominates on the survivors."""
@@ -301,15 +318,22 @@ def _enumerate_mixed(g: Game, u1: IntMatrix, u2: IntMatrix) -> tuple[list[MixedP
     Raises NoEquilibriumFoundError when nothing is found.
     """
     rows, cols = _undominated(u1, u2)
+    size = min(len(rows), len(cols))
+    beaten_rows = _beaten(u1, rows, cols, size)
+    beaten_cols = _beaten(tuple(zip(*u2)), cols, rows, size)
     u2_by_column = tuple(zip(*g.u2))
     found: list[MixedProfile] = []
     degenerate = False
     for mask1 in range(1, 1 << len(rows)):
+        if mask1.bit_count() > size:
+            continue
         support1 = _bits(mask1, rows)
-        dominated = _dominated([[u2[i][j] for i in support1] for j in cols])
-        excluded = sum(1 << k for k, out in enumerate(dominated) if out)
         for mask2 in range(1, 1 << len(cols)):
-            if mask2.bit_count() != len(support1) or mask2 & excluded:
+            if (
+                mask2.bit_count() != len(support1)
+                or mask2 & beaten_cols[mask1]
+                or mask1 & beaten_rows[mask2]
+            ):
                 continue
             support2 = _bits(mask2, cols)
             side1 = _opponent_mixture(g.u1, support1, support2)

@@ -458,6 +458,15 @@ class TestSupportEnumerationOracle:
     def test_matches_reference_on_tie_heavy_games(self, g):
         self.check(g)
 
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data(), long=st.integers(1, 6), short=st.integers(1, 3), tall=st.booleans())
+    def test_matches_reference_on_rectangular_games(self, data, long, short, tall):
+        rows, cols = (long, short) if tall else (short, long)
+        matrix = st.lists(
+            st.lists(st.integers(-2, 2), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        )
+        self.check(_int_game(data.draw(matrix), data.draw(matrix)))
+
 
 class TestEliminationOracle:
     """_undominated on the scaled integers against
@@ -554,10 +563,11 @@ class TestDominanceReduction:
         # Without the reduction this is C(24, 12) - 1 = 2,704,155 pairs.
         assert solved == [((0,), (0,))]
 
-    def test_rock_paper_scissors_skips_conditionally_dominated_columns(self, monkeypatch):
-        # Nothing is strictly dominated, but against each row support of
-        # size 1 or 2 some column loses to another on every row: only
-        # 3 + 3 + 1 of the 19 equal-size support pairs are solved.
+    def test_rock_paper_scissors_skips_conditionally_dominated_supports(self, monkeypatch):
+        # Nothing is strictly dominated, but against each support of size 1
+        # or 2 some strategy of the other player loses to another on every
+        # strategy of it: of the 19 equal-size support pairs only the full
+        # one is solved.
         a = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
         g = _int_game(a, [[-v for v in row] for row in a])
         solved = _player1_solves(monkeypatch, g)
@@ -565,7 +575,46 @@ class TestDominanceReduction:
         assert mixed_equilibria(g) == reference_support_enumeration(g)[0] == [
             MixedProfile(third, third)
         ]
-        assert len(solved) == 7
+        assert solved == [((0, 1, 2), (0, 1, 2))]
+
+
+def _swap_players(g):
+    rows, cols = g.shape
+    return make_game(
+        g.labels2, g.labels1,
+        [[g.u2[i][j] for i in range(rows)] for j in range(cols)],
+        [[g.u1[i][j] for i in range(rows)] for j in range(cols)],
+    )
+
+
+class TestPlayerSwap:
+    """Exclusion treats both players alike: the transposed game solves as
+    many player-1 systems and finds the same profiles, x and y swapped, with
+    the same flag."""
+
+    @staticmethod
+    def outcome(g, swap):
+        with pytest.MonkeyPatch.context() as mp:
+            solved = _player1_solves(mp, g)
+            try:
+                report = analyze(g, pure=False, dominance=False)
+            except NoEquilibriumFoundError:
+                return len(solved), None, None
+        mixed = {(m.y, m.x) if swap else (m.x, m.y) for m in report.mixed}
+        return len(solved), mixed, report.degenerate
+
+    def check(self, g):
+        assert self.outcome(_swap_players(g), True) == self.outcome(g, False)
+
+    def test_random_games(self):
+        rng = random.Random(5)
+        for _ in range(150):
+            self.check(random_game(rng, 5, 5))
+
+    @settings(deadline=None, max_examples=150)
+    @given(g=_tie_heavy_games())
+    def test_tie_heavy_games(self, g):
+        self.check(g)
 
 
 class TestStructuralProperties:
@@ -594,14 +643,8 @@ class TestStructuralProperties:
         rng = random.Random(41)
         for _ in range(40):
             g = random_game(rng, 4, 4)
-            rows, cols = g.shape
-            swapped = make_game(
-                g.labels2, g.labels1,
-                [[g.u2[i][j] for i in range(rows)] for j in range(cols)],
-                [[g.u1[i][j] for i in range(rows)] for j in range(cols)],
-            )
             direct = {(p.i, p.j) for p in pure_equilibria(g)}
-            mirrored = {(p.j, p.i) for p in pure_equilibria(swapped)}
+            mirrored = {(p.j, p.i) for p in pure_equilibria(_swap_players(g))}
             assert direct == mirrored
 
 
