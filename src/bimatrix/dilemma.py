@@ -139,13 +139,15 @@ def generalized_pd(params: PdParams, sem: SilenceSemantics) -> Game:
     if isinstance(sem, Ambiguous):
         pick = min if sem.attitude == "pessimistic" else max
         u1, u2 = (_with_silence(u, pick) for u in (base.u1, base.u2))
-    else:
+    elif isinstance(sem, Mixture):
         # In integers scaled by q**2, both steps of the twin rule divide by q exactly.
         scale, *blocks = integer_payoffs(base)
         p, q = sem.w.numerator, sem.w.denominator
         mix = lambda c, d: (p * c + (q - p) * d) // q
         scaled = (_with_silence([[v * q * q for v in row] for row in u], mix) for u in blocks)
         u1, u2 = ([[Fraction(v, scale * q * q) for v in row] for row in u] for u in scaled)
+    else:
+        raise TypeError(f"semantics must be a Mixture or an Ambiguous, got {type(sem).__name__}")
     return make_game(GENERALIZED_LABELS, GENERALIZED_LABELS, u1, u2)
 
 

@@ -1,9 +1,10 @@
 """Best responses, Nash equilibria, and dominance analysis in exact arithmetic.
 
 Pure equilibria are checked directly against the weak-inequality best-response
-conditions. They and dominance compare payoffs scaled to integers by the LCM
-of their denominators (core.integer_payoffs); scaling by one positive integer
-keeps the order of the values, so both stay exact.
+conditions. They, dominance and mixed enumeration read the payoffs scaled to
+integers by the LCM of their denominators (core.integer_payoffs); scaling by
+one positive integer keeps the order of the values and the solutions of the
+indifference systems, so every answer stays exact.
 
 Mixed equilibria come from support enumeration: for every pair of nonempty
 supports of equal size, each player's square indifference system is solved
@@ -20,10 +21,10 @@ through _dominated, to prune supports in two ways:
 - Elimination. Supports are drawn only from the strategies that survive
   iterated strict dominance by pure strategies. A removed strategy pays
   strictly less than a survivor against every mixture of surviving opponent
-  strategies, so no equilibrium puts weight on it and it never ties the
-  equilibrium payoff: the same profiles come from the same systems and the
-  degeneracy flag is unchanged. Weak dominance can lose equilibria and is
-  not used.
+  strategies, so no equilibrium puts weight on it and it can neither beat
+  nor tie the equilibrium payoff. Systems and off-support checks therefore
+  run on the survivors alone, with the same profiles and degeneracy flag.
+  Weak dominance can lose equilibria and is not used.
 - Exclusion. A support pair is skipped unsolved when one player's support
   holds a strategy that another surviving strategy of that player beats on
   every strategy of the opponent's support (conditional strict dominance,
@@ -213,12 +214,12 @@ def expected_payoff(g: Game, player: Player, m: MixedProfile) -> Rat:
     )
 
 
-# Fractions, not ints: a system row of int constants divided by an int pivot
-# would turn into floats.
+# Fractions, not ints: an int row divided by an int pivot would turn into
+# floats, so systems of int payoffs put the column of _MINUS_ONE first.
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
-def _solve_square(a: list[list[Rat]], b: list[Rat]) -> list[Rat] | None:
+def _solve_square(a: list[list[Rat | int]], b: list[Rat]) -> list[Rat] | None:
     """Gauss-Jordan over Fraction: the solution of square a z = b, or None if a is singular."""
     n = len(a)
     aug = [row + [v] for row, v in zip(a, b)]
@@ -236,8 +237,8 @@ def _solve_square(a: list[list[Rat]], b: list[Rat]) -> list[Rat] | None:
     return [row[n] for row in aug]
 
 
-def _bits(mask: int, indices: Sequence[int]) -> tuple[int, ...]:
-    return tuple(k for b, k in enumerate(indices) if mask >> b & 1)
+def _bits(mask: int) -> tuple[int, ...]:
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 def _dominated(vectors: Sequence[Sequence[int]]) -> list[bool]:
@@ -245,17 +246,14 @@ def _dominated(vectors: Sequence[Sequence[int]]) -> list[bool]:
     return [any(all(map(gt, vb, va)) for vb in vectors) for va in vectors]
 
 
-def _beaten(u: IntMatrix, own: Sequence[int], other: Sequence[int], size: int) -> list[int]:
-    """Per mask over `other` of at most `size` bits, the mask over `own` of
-    the strategies another one of `own` beats on every strategy of the mask.
-
-    u is indexed u[own][other]; wider masks map to 0.
-    """
-    table = [0] * (1 << len(other))
+def _beaten(u: IntMatrix, size: int) -> list[int]:
+    """Per mask over u's columns of at most `size` bits (wider ones map to 0),
+    the mask over its rows of those another row beats on every masked column."""
+    table = [0] * (1 << len(u[0]))
     for mask in range(1, len(table)):
         if mask.bit_count() <= size:
-            support = _bits(mask, other)
-            dominated = _dominated([[u[s][t] for t in support] for s in own])
+            support = _bits(mask)
+            dominated = _dominated([[row[t] for t in support] for row in u])
             table[mask] = sum(1 << k for k, out in enumerate(dominated) if out)
     return table
 
@@ -275,59 +273,59 @@ def _undominated(u1: IntMatrix, u2: IntMatrix) -> tuple[list[int], list[int]]:
 
 
 def _opponent_mixture(
-    u: tuple[tuple[Rat, ...], ...],
-    own_support: tuple[int, ...],
-    other_support: tuple[int, ...],
+    u: IntMatrix, own_support: tuple[int, ...], other_support: tuple[int, ...]
 ) -> tuple[list[Rat], bool] | None:
     """The opponent mixture on other_support that makes own_support a best reply.
 
-    u is indexed u[own][other] and both supports have the same size. The
-    unknowns are the opponent probabilities plus the common payoff on
-    own_support. Returns the opponent's full mixture and whether an
-    off-support strategy ties that payoff, or None when the system is
-    singular, a support probability is not positive, or an off-support
-    strategy pays more.
+    u is one player's integer payoffs on the survivors, indexed u[own][other];
+    both supports have the same size. The unknowns are the common payoff on
+    own_support and the opponent probabilities. Returns the probabilities, in
+    other_support's order, and whether an off-support survivor ties that
+    payoff; None when the system is singular, a probability is not positive,
+    or an off-support survivor pays more. Removed strategies can neither beat
+    nor tie it, so they are not checked.
     """
-    a = [[u[s][t] for t in other_support] + [_MINUS_ONE] for s in own_support]
-    a.append([_ONE] * len(other_support) + [_ZERO])
+    a = [[_MINUS_ONE, *(u[s][t] for t in other_support)] for s in own_support]
+    a.append([_ZERO] + [_ONE] * len(other_support))
     solution = _solve_square(a, [_ZERO] * len(own_support) + [_ONE])
-    if solution is None or any(p <= 0 for p in solution[:-1]):
+    if solution is None or any(p <= 0 for p in solution[1:]):
         return None
-    value = solution[-1]
-    mixture = [_ZERO] * len(u[0])
-    for t, p in zip(other_support, solution):
-        mixture[t] = p
-    tied = False
-    for s, row in enumerate(u):
-        if s in own_support:
-            continue
-        deviation = sum((row[t] * mixture[t] for t in other_support), start=_ZERO)
-        if deviation > value:
-            return None
-        tied = tied or deviation == value
-    return mixture, tied
+    value, *mixture = solution
+    off_support = (row for s, row in enumerate(u) if s not in own_support)
+    deviations = [sum(p * row[t] for t, p in zip(other_support, mixture)) for row in off_support]
+    return None if any(d > value for d in deviations) else (mixture, value in deviations)
 
 
-def _enumerate_mixed(g: Game, u1: IntMatrix, u2: IntMatrix) -> tuple[list[MixedProfile], bool]:
+def _spread(mixture: list[Rat], support: tuple[int, ...], kept: list[int], n: int) -> list[Rat]:
+    """Probabilities on positions among the kept strategies, over all n strategies."""
+    weights = {kept[s]: p for s, p in zip(support, mixture)}
+    return [weights.get(k, _ZERO) for k in range(n)]
+
+
+def _enumerate_mixed(u1: IntMatrix, u2: IntMatrix) -> tuple[list[MixedProfile], bool]:
     """All isolated support-enumeration equilibria plus a degeneracy flag.
 
-    u1 and u2 are g's core.integer_payoffs. Supports are pruned by
-    elimination and exclusion (see the module docstring). Each profile found
-    has exactly the supports it was solved on, so none repeats, and the list
-    comes in (row mask, column mask) order over the original indices.
-    Raises NoEquilibriumFoundError when nothing is found.
+    u1 and u2 are core.integer_payoffs. Supports are pruned by elimination
+    and exclusion (see the module docstring): every system and off-support
+    check runs on the survivors' payoffs, player 2's transposed, since a
+    removed strategy can neither be in an equilibrium's support nor beat or
+    tie its payoff. Each profile found has exactly the supports it was
+    solved on, so none repeats; it is mapped back to the original indices,
+    and the list comes in (row mask, column mask) order. Raises
+    NoEquilibriumFoundError when nothing is found.
     """
+    m, n = len(u1), len(u1[0])
     rows, cols = _undominated(u1, u2)
+    v1 = [[u1[i][j] for j in cols] for i in rows]
+    v2 = [[u2[i][j] for i in rows] for j in cols]
     size = min(len(rows), len(cols))
-    beaten_rows = _beaten(u1, rows, cols, size)
-    beaten_cols = _beaten(tuple(zip(*u2)), cols, rows, size)
-    u2_by_column = tuple(zip(*g.u2))
+    beaten_rows, beaten_cols = _beaten(v1, size), _beaten(v2, size)
     found: list[MixedProfile] = []
     degenerate = False
     for mask1 in range(1, 1 << len(rows)):
         if mask1.bit_count() > size:
             continue
-        support1 = _bits(mask1, rows)
+        support1 = _bits(mask1)
         for mask2 in range(1, 1 << len(cols)):
             if (
                 mask2.bit_count() != len(support1)
@@ -335,15 +333,15 @@ def _enumerate_mixed(g: Game, u1: IntMatrix, u2: IntMatrix) -> tuple[list[MixedP
                 or mask1 & beaten_rows[mask2]
             ):
                 continue
-            support2 = _bits(mask2, cols)
-            side1 = _opponent_mixture(g.u1, support1, support2)
+            support2 = _bits(mask2)
+            side1 = _opponent_mixture(v1, support1, support2)
             if side1 is None:
                 continue
-            side2 = _opponent_mixture(u2_by_column, support2, support1)
+            side2 = _opponent_mixture(v2, support2, support1)
             if side2 is None:
                 continue
             (y, tied1), (x, tied2) = side1, side2
-            found.append(MixedProfile(x, y))
+            found.append(MixedProfile(_spread(x, support1, rows, m), _spread(y, support2, cols, n)))
             degenerate = degenerate or tied1 or tied2
     if not found:
         raise NoEquilibriumFoundError(
@@ -362,7 +360,7 @@ def mixed_equilibria(g: Game) -> list[MixedProfile]:
     defect, not an equilibrium-free game.
     """
     _, u1, u2 = integer_payoffs(g)
-    found, _ = _enumerate_mixed(g, u1, u2)
+    found, _ = _enumerate_mixed(u1, u2)
     return found
 
 
@@ -383,7 +381,7 @@ def analyze(
     mixed_found: tuple[MixedProfile, ...] | None = None
     degenerate: bool | None = None
     if mixed:
-        found, degenerate = _enumerate_mixed(g, u1, u2)
+        found, degenerate = _enumerate_mixed(u1, u2)
         mixed_found = tuple(found)
     facts = tuple(DominanceFact(*pair) for pair in _dominance_pairs(u1, u2)) if dominance else None
     return EquilibriumReport(

@@ -185,6 +185,11 @@ class TestGeneralizedPd:
         with pytest.raises(ValueError):
             Ambiguous("hopeful")  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("sem", ["pessimistic", None, Fraction(1, 2)])
+    def test_semantics_of_another_type_rejected(self, sem):
+        with pytest.raises(TypeError, match="Mixture or an Ambiguous"):
+            generalized_pd(PdParams(), sem)  # type: ignore[arg-type]
+
 
 class TestReduction:
     def test_reduction_recovers_classical_game(self):

@@ -504,15 +504,26 @@ def _claims_game(n):
     return _int_game(u1, [[pay(j, i) for j in range(n)] for i in range(n)])
 
 
-def _player1_solves(monkeypatch, g):
-    """The (own, other) supports of every player-1 system solved on g from now on."""
+def _player1_solves(monkeypatch):
+    """The (own, other) supports, as positions among the survivors of
+    elimination, of every player-1 system solved from now on.
+
+    Player 2's system is solved only right after player 1's found a mixture,
+    so a call is player 1's unless the previous one was and succeeded.
+    """
     solved = []
     original = equilibrium._opponent_mixture
+    player2_next = False
 
     def counted(u, own_support, other_support):
-        if u is g.u1:
+        nonlocal player2_next
+        result = original(u, own_support, other_support)
+        if player2_next:
+            player2_next = False
+        else:
             solved.append((own_support, other_support))
-        return original(u, own_support, other_support)
+            player2_next = result is not None
+        return result
 
     monkeypatch.setattr(equilibrium, "_opponent_mixture", counted)
     return solved
@@ -556,7 +567,7 @@ class TestDominanceReduction:
         g = _claims_game(12)
         _, u1, u2 = integer_payoffs(g)
         assert equilibrium._undominated(u1, u2) == ([0], [0])
-        solved = _player1_solves(monkeypatch, g)
+        solved = _player1_solves(monkeypatch)
         one, zero = Fraction(1), Fraction(0)
         corner = (one,) + (zero,) * 11
         assert analyze(g).mixed == (MixedProfile(corner, corner),)
@@ -570,7 +581,7 @@ class TestDominanceReduction:
         # one is solved.
         a = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
         g = _int_game(a, [[-v for v in row] for row in a])
-        solved = _player1_solves(monkeypatch, g)
+        solved = _player1_solves(monkeypatch)
         third = (Fraction(1, 3),) * 3
         assert mixed_equilibria(g) == reference_support_enumeration(g)[0] == [
             MixedProfile(third, third)
@@ -595,7 +606,7 @@ class TestPlayerSwap:
     @staticmethod
     def outcome(g, swap):
         with pytest.MonkeyPatch.context() as mp:
-            solved = _player1_solves(mp, g)
+            solved = _player1_solves(mp)
             try:
                 report = analyze(g, pure=False, dominance=False)
             except NoEquilibriumFoundError:
@@ -638,6 +649,8 @@ class TestStructuralProperties:
                 assert best_responses(g, 1, j) == best_responses(h, 1, j)
             for i in range(rows):
                 assert best_responses(g, 2, i) == best_responses(h, 2, i)
+            mixed_g, mixed_h = (analyze(k, pure=False, dominance=False) for k in (g, h))
+            assert (mixed_g.mixed, mixed_g.degenerate) == (mixed_h.mixed, mixed_h.degenerate)
 
     def test_player_swap_transposes_pure_equilibria(self):
         rng = random.Random(41)
