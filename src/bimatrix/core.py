@@ -7,8 +7,9 @@ comparison in the solver is exact. Floating-point payoffs are rejected.
 Every type here is immutable after construction; all functions are pure.
 
 The records of the package (profiles, games, dilemma parameters, reports)
-derive from Record: plain immutable classes with the equality, hash and repr
-of a frozen dataclass over the fields they annotate. They are not
+derive from Record: plain immutable classes with the `__init__`, equality,
+hash and repr of a frozen dataclass over the fields they annotate. A record
+that normalizes or checks its fields does so in `__post_init__`. They are not
 dataclasses, so dataclasses.replace, fields and asdict do not apply to them.
 The package imports dataclasses only to raise FrozenInstanceError: importing
 it loads inspect and ast, a cost every start of the command-line tool would
@@ -51,18 +52,34 @@ class Record:
     """An immutable record whose fields are its class annotations, in order.
 
     Each subclass gets `__match_args__` from its own annotations, so class
-    patterns bind the fields positionally. Equality is same class and equal
+    patterns bind the fields positionally, and an `__init__` that takes the
+    fields in that order. A class-level value is its field's default. The
+    `__init__` is a straight-line function built from source at class
+    creation, as dataclasses builds one, so it keeps a real signature and
+    Python's own argument errors. It sets each field with object.__setattr__
+    and then calls `__post_init__` if the class defines one; that method
+    replaces the fields it normalizes the same way. Any later assignment or
+    deletion raises FrozenInstanceError. Equality is same class and equal
     field tuples, the hash is the field tuple's, and the repr is
-    `Name(field=value, ...)`. A subclass sets its fields in `__init__` with
-    object.__setattr__; any later assignment or deletion raises
-    FrozenInstanceError. Instances keep a `__dict__`, so pickle and copy work
-    on them as on any plain object.
+    `Name(field=value, ...)`. Instances keep a `__dict__`, so pickle and copy
+    work on them as on any plain object.
     """
 
     __match_args__: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls.__match_args__ = tuple(cls.__annotations__)
+        names = cls.__match_args__ = tuple(cls.__annotations__)
+        # A default is read from the class when the def runs, so a field
+        # without one after a field with one is a SyntaxError, as in a def.
+        params = [f"{n}=_cls.{n}" if n in vars(cls) else n for n in names]
+        body = [f"_set(self, {n!r}, {n})" for n in names]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        source = f"def __init__(self, {', '.join(params)}):\n " + "\n ".join(body)
+        namespace: dict = {"_cls": cls, "_set": object.__setattr__}
+        exec(source, namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -96,10 +113,6 @@ class PureProfile(Record):
     i: int
     j: int
 
-    def __init__(self, i: int, j: int) -> None:
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-
 
 class MixedProfile(Record):
     """A pair of exact probability vectors over the two strategy sets."""
@@ -107,9 +120,9 @@ class MixedProfile(Record):
     x: tuple[Rat, ...]
     y: tuple[Rat, ...]
 
-    def __init__(self, x: Iterable[Rat], y: Iterable[Rat]) -> None:
-        object.__setattr__(self, "x", tuple(as_rat(p) for p in x))
-        object.__setattr__(self, "y", tuple(as_rat(p) for p in y))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "x", tuple(as_rat(p) for p in self.x))
+        object.__setattr__(self, "y", tuple(as_rat(p) for p in self.y))
         for name, vec in (("x", self.x), ("y", self.y)):
             if not vec:
                 raise ValueError(f"{name} must be non-empty")
@@ -144,24 +157,15 @@ class Game(Record):
     u1: tuple[tuple[Rat, ...], ...]
     u2: tuple[tuple[Rat, ...], ...]
 
-    def __init__(
-        self,
-        labels1: Iterable[str],
-        labels2: Iterable[str],
-        u1: Iterable[Iterable[object]],
-        u2: Iterable[Iterable[object]],
-    ) -> None:
-        object.__setattr__(self, "labels1", tuple(labels1))
-        object.__setattr__(self, "labels2", tuple(labels2))
-        object.__setattr__(self, "u1", _freeze_matrix(u1))
-        object.__setattr__(self, "u2", _freeze_matrix(u2))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "labels1", tuple(self.labels1))
+        object.__setattr__(self, "labels2", tuple(self.labels2))
+        object.__setattr__(self, "u1", _freeze_matrix(self.u1))
+        object.__setattr__(self, "u2", _freeze_matrix(self.u2))
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.labels1), len(self.labels2))
-
-    def strategies(self, player: Player) -> tuple[str, ...]:
-        return self.labels1 if player == 1 else self.labels2
 
 
 def validate_game(g: Game) -> list[str]:

@@ -54,22 +54,14 @@ class PdParams(Record):
     years_sucker, all non-negative.
     """
 
-    years_free: Rat
-    years_both_coop: Rat
-    years_both_defect: Rat
-    years_sucker: Rat
+    years_free: Rat = Fraction(0)
+    years_both_coop: Rat = Fraction(1)
+    years_both_defect: Rat = Fraction(4)
+    years_sucker: Rat = Fraction(5)
 
-    def __init__(
-        self,
-        years_free: Rat = Fraction(0),
-        years_both_coop: Rat = Fraction(1),
-        years_both_defect: Rat = Fraction(4),
-        years_sucker: Rat = Fraction(5),
-    ) -> None:
-        object.__setattr__(self, "years_free", as_rat(years_free))
-        object.__setattr__(self, "years_both_coop", as_rat(years_both_coop))
-        object.__setattr__(self, "years_both_defect", as_rat(years_both_defect))
-        object.__setattr__(self, "years_sucker", as_rat(years_sucker))
+    def __post_init__(self) -> None:
+        for name in self.__match_args__:
+            object.__setattr__(self, name, as_rat(getattr(self, name)))
         if self.years_free < 0:
             raise ValueError("sentence lengths must be non-negative")
         ordered = (
@@ -92,8 +84,8 @@ class Mixture(Record):
 
     w: Rat
 
-    def __init__(self, w: Rat) -> None:
-        object.__setattr__(self, "w", as_rat(w))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "w", as_rat(self.w))
         if not 0 <= self.w <= 1:
             raise ValueError(f"mixture weight must be in [0, 1], got {self.w}")
 
@@ -103,10 +95,9 @@ class Ambiguous(Record):
 
     attitude: Attitude
 
-    def __init__(self, attitude: Attitude) -> None:
-        object.__setattr__(self, "attitude", attitude)
-        if attitude not in ("pessimistic", "optimistic"):
-            raise ValueError(f"unknown attitude {attitude!r}")
+    def __post_init__(self) -> None:
+        if self.attitude not in ("pessimistic", "optimistic"):
+            raise ValueError(f"unknown attitude {self.attitude!r}")
 
 
 SilenceSemantics = Mixture | Ambiguous
@@ -184,21 +175,9 @@ class MixtureCheck(Record):
     """
 
     consistent: bool
-    w: Rat | None
-    any_weight: bool
-    counterexample: str | None
-
-    def __init__(
-        self,
-        consistent: bool,
-        w: Rat | None = None,
-        any_weight: bool = False,
-        counterexample: str | None = None,
-    ) -> None:
-        object.__setattr__(self, "consistent", consistent)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "any_weight", any_weight)
-        object.__setattr__(self, "counterexample", counterexample)
+    w: Rat | None = None
+    any_weight: bool = False
+    counterexample: str | None = None
 
 
 def mixture_consistency(g3: Game) -> MixtureCheck:
@@ -267,18 +246,6 @@ class SweepRow(Record):
     labels: tuple[str, ...]
     equilibria: tuple[tuple[str, str], ...]
     dominance: tuple[DominanceFact, ...]
-
-    def __init__(
-        self,
-        w: Rat,
-        labels: tuple[str, ...],
-        equilibria: tuple[tuple[str, str], ...],
-        dominance: tuple[DominanceFact, ...],
-    ) -> None:
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "equilibria", equilibria)
-        object.__setattr__(self, "dominance", dominance)
 
 
 def sweep_mixture(params: PdParams, steps: int) -> list[SweepRow]:

@@ -67,12 +67,6 @@ class DominanceFact(Record):
     dominator: int
     mode: Mode
 
-    def __init__(self, player: Player, dominated: int, dominator: int, mode: Mode) -> None:
-        object.__setattr__(self, "player", player)
-        object.__setattr__(self, "dominated", dominated)
-        object.__setattr__(self, "dominator", dominator)
-        object.__setattr__(self, "mode", mode)
-
 
 class EquilibriumReport(Record):
     """Everything the solver found for one game.
@@ -86,29 +80,14 @@ class EquilibriumReport(Record):
 
     labels1: tuple[str, ...]
     labels2: tuple[str, ...]
-    pure: tuple[PureProfile, ...] | None
-    strict: tuple[bool, ...] | None
-    mixed: tuple[MixedProfile, ...] | None
-    dominance: tuple[DominanceFact, ...] | None
-    degenerate: bool | None
+    pure: tuple[PureProfile, ...] | None = None
+    strict: tuple[bool, ...] | None = None
+    mixed: tuple[MixedProfile, ...] | None = None
+    dominance: tuple[DominanceFact, ...] | None = None
+    degenerate: bool | None = None
 
-    def __init__(
-        self,
-        labels1: tuple[str, ...],
-        labels2: tuple[str, ...],
-        pure: tuple[PureProfile, ...] | None = None,
-        strict: tuple[bool, ...] | None = None,
-        mixed: tuple[MixedProfile, ...] | None = None,
-        dominance: tuple[DominanceFact, ...] | None = None,
-        degenerate: bool | None = None,
-    ) -> None:
-        object.__setattr__(self, "labels1", labels1)
-        object.__setattr__(self, "labels2", labels2)
-        object.__setattr__(self, "pure", pure)
-        object.__setattr__(self, "strict", strict)
-        object.__setattr__(self, "mixed", mixed)
-        object.__setattr__(self, "dominance", dominance)
-        object.__setattr__(self, "degenerate", degenerate)
+    def __post_init__(self) -> None:
+        pure, strict = self.pure, self.strict
         if (pure is None) != (strict is None) or (pure is not None and len(pure) != len(strict)):
             raise ValueError("strict must be parallel to pure: both None or equally long")
 

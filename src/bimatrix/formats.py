@@ -41,7 +41,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Sequence, TypeVar
 
-from .core import Game, Rat, Record, make_game
+from .core import Game, Rat, Record, as_rat, make_game
 from .dilemma import SweepRow
 from .equilibrium import DominanceFact, EquilibriumReport
 
@@ -69,10 +69,6 @@ class GameDocument(Record):
     name: str
     game: Game
 
-    def __init__(self, name: str, game: Game) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "game", game)
-
 
 def parse_rat(text: str) -> Rat:
     """Parse the file format's rational literal grammar ("a" or "a/b")."""
@@ -88,8 +84,11 @@ def parse_rat(text: str) -> Rat:
 
 
 def format_rat(value: Rat) -> str:
-    """Canonical rendering: reduced, '/'-separated only when non-integer."""
-    return str(value) if type(value) is Fraction else str(Fraction(value))
+    """Canonical rendering: reduced, '/'-separated only when non-integer.
+
+    Raises TypeError for a float, bool or other inexact value, as as_rat does.
+    """
+    return str(value) if type(value) is Fraction else str(as_rat(value))
 
 
 def _column(raw: str, index: int) -> int:

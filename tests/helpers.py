@@ -3,12 +3,15 @@
 The oracles here deliberately avoid the library's own solver paths: pure
 equilibria are found by scanning every profile and every deviation, mixed
 profiles are checked by summing expected payoffs directly, the reference
-support enumeration has its own elimination and no dominance step, and the
-reference dominance elimination compares the Fraction payoffs one at a time.
+support enumeration has its own elimination and no dominance step, the
+reference extreme equilibria come from vertex enumeration of the best
+response polytopes, and the reference dominance elimination compares the
+Fraction payoffs one at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -154,6 +157,51 @@ def reference_support_enumeration(g: Game) -> tuple[list[MixedProfile], bool]:
             found.append(MixedProfile(x, y))
             tie = tie or pays1.count(v1) > len(s1) or pays2.count(v2) > len(s2)
     return found, tie
+
+
+def _vertices(m: list[list[Fraction]]) -> list[tuple[list[Fraction], set[int], set[int]]]:
+    """Each vertex z of {z >= 0, m z <= 1}, with the indices k where z_k = 0
+    and the rows of m that are tight at z.
+
+    A vertex is the unique solution of some len(z) of the constraints held at
+    equality; every choice is tried and the feasible solutions kept, once
+    each.
+    """
+    n = len(m[0])
+    found: dict[tuple[Fraction, ...], tuple[list[Fraction], set[int], set[int]]] = {}
+    for tight in itertools.combinations(range(n + len(m)), n):
+        a = [[Fraction(k == c) for k in range(n)] if c < n else m[c - n] for c in tight]
+        z = _solve_by_substitution(a, [Fraction(c >= n) for c in tight])
+        if z is None or min(z) < 0:
+            continue
+        pays = [sum(v * w for v, w in zip(row, z)) for row in m]
+        if max(pays) <= 1:
+            zeros = {k for k in range(n) if z[k] == 0}
+            found[tuple(z)] = (z, zeros, {r for r, p in enumerate(pays) if p == 1})
+    return list(found.values())
+
+
+def reference_extreme_equilibria(g: Game) -> set[MixedProfile]:
+    """The extreme equilibria of g, by vertex enumeration.
+
+    With A and B the payoffs shifted to be positive, the polytopes
+    P = {x >= 0, B^T x <= 1} and Q = {y >= 0, A y <= 1} are bounded. The
+    extreme equilibria are the vertex pairs (x, y) other than (0, 0) that are
+    completely labelled: every row i has x_i = 0 or (A y)_i = 1, and every
+    column j has y_j = 0 or (B^T x)_j = 1. Each is scaled to a pair of
+    probability vectors.
+    """
+    rows, cols = g.shape
+    shift = 1 - min(v for u in (g.u1, g.u2) for row in u for v in row)
+    a = [[v + shift for v in row] for row in g.u1]
+    bt = [[g.u2[i][j] + shift for i in range(rows)] for j in range(cols)]
+    found, q_vertices = set(), _vertices(a)
+    for x, x_zeros, x_tight in _vertices(bt):
+        for y, y_zeros, y_tight in q_vertices:
+            labelled = x_zeros | y_tight == set(range(rows)) and x_tight | y_zeros == set(range(cols))
+            if labelled and any(x) and any(y):
+                found.add(MixedProfile([p / sum(x) for p in x], [p / sum(y) for p in y]))
+    return found
 
 
 def reference_undominated(g: Game) -> tuple[list[int], list[int]]:

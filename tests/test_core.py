@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import pickle
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from bimatrix.core import (
     InvalidGameError,
     MixedProfile,
     PureProfile,
+    Record,
     as_rat,
     make_game,
     payoff,
@@ -239,6 +241,14 @@ RECORDS = [
 ]
 
 
+# The defaults of the records that have any, for their trailing fields.
+DEFAULTS = {
+    PdParams: (Fraction(0), Fraction(1), Fraction(4), Fraction(5)),
+    MixtureCheck: (None, False, None),
+    EquilibriumReport: (None,) * 5,
+}
+
+
 def _fields(record) -> tuple:
     return tuple(getattr(record, name) for name in type(record).__match_args__)
 
@@ -252,6 +262,15 @@ class TestRecords:
         assert _fields(record) == args
         assert cls(**dict(zip(cls.__match_args__, args))) == record
         assert tuple(cls.__annotations__) == cls.__match_args__
+
+    def test_signature(self, cls, args, text):
+        params = list(inspect.signature(cls).parameters.values())
+        assert tuple(p.name for p in params) == cls.__match_args__
+        assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+        defaults = DEFAULTS.get(cls, ())
+        empty = (inspect.Parameter.empty,) * (len(params) - len(defaults))
+        assert tuple(p.default for p in params) == empty + defaults
+        assert [type(p.default) for p in params[len(empty):]] == [type(d) for d in defaults]
 
     def test_equality_and_hash_follow_the_field_tuple(self, cls, args, text):
         record = cls(*args)
@@ -295,6 +314,14 @@ def test_record_defaults():
     assert PdParams(years_sucker=7) == PdParams(0, 1, 4, Fraction(7))
     assert _fields(MixtureCheck(consistent=True)) == (True, None, False, None)
     assert _fields(EquilibriumReport(("a",), ("b",))) == (("a",), ("b",), None, None, None, None, None)
+
+
+def test_field_without_default_after_one_with_default_rejected():
+    with pytest.raises(SyntaxError):
+
+        class Bad(Record):
+            a: int = 0
+            b: int
 
 
 def test_positional_class_pattern():

@@ -30,6 +30,8 @@ from helpers import (
     assert_mixed_profile_sound,
     brute_force_pure,
     random_game,
+    random_rat,
+    reference_extreme_equilibria,
     reference_support_enumeration,
     reference_undominated,
 )
@@ -466,6 +468,41 @@ class TestSupportEnumerationOracle:
             st.lists(st.integers(-2, 2), min_size=cols, max_size=cols), min_size=rows, max_size=rows
         )
         self.check(_int_game(data.draw(matrix), data.draw(matrix)))
+
+
+class TestExtremeEquilibriumOracle:
+    """Every mixed profile is an extreme equilibrium, against
+    helpers.reference_extreme_equilibria, which enumerates the vertices of the
+    best response polytopes and shares no code with the solver. The solver
+    may miss extreme equilibria (see the strict xfail above), so only the
+    inclusion is checked."""
+
+    @staticmethod
+    def check(g):
+        extreme = reference_extreme_equilibria(g)
+        assert extreme, "every game has an extreme equilibrium"
+        try:
+            found = mixed_equilibria(g)
+        except NoEquilibriumFoundError:
+            found = []
+        assert set(found) <= extreme
+
+    def test_oracle_finds_the_missed_extreme_equilibria(self):
+        expected = [("0 0 1", "0 1 0")] + TestMixedEquilibria.MISSED_PROFILES
+        assert reference_extreme_equilibria(_int_game(*TestMixedEquilibria.MISSED_GAP)) == {
+            MixedProfile(_vector(x), _vector(y)) for x, y in expected
+        }
+
+    @settings(deadline=None, max_examples=200)
+    @given(g=_tie_heavy_games(4))
+    def test_on_tie_heavy_games(self, g):
+        self.check(g)
+
+    def test_on_random_5x5_games(self):
+        rng = random.Random(53)
+        for _ in range(25):
+            u1, u2 = ([[random_rat(rng) for _ in range(5)] for _ in range(5)] for _ in "12")
+            self.check(_int_game(u1, u2))
 
 
 class TestEliminationOracle:

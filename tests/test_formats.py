@@ -9,6 +9,7 @@ import json
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,12 @@ class TestParseRat:
     def test_integers_render_without_denominator(self):
         assert format_rat(Fraction(-4, 1)) == "-4"
         assert format_rat(Fraction(8, 2)) == "4"
+        assert format_rat(-4) == "-4"
+
+    @pytest.mark.parametrize("value", [0.1, True, Decimal("0.5")], ids=["float", "bool", "decimal"])
+    def test_inexact_values_rejected(self, value):
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            format_rat(value)
 
 
 class TestParseGame:
