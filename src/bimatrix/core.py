@@ -176,6 +176,9 @@ def validate_game(g: Game) -> list[str]:
             problems.append(f"player {player} has no strategies")
         seen: set[str] = set()
         for label in labels:
+            if not isinstance(label, str):
+                problems.append(f"player {player} has a strategy label that is not a string: {label!r}")
+                continue
             if not label:
                 problems.append(f"player {player} has an empty strategy label")
             if label in seen:

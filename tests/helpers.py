@@ -6,7 +6,8 @@ profiles are checked by summing expected payoffs directly, the reference
 support enumeration has its own elimination and no dominance step, the
 reference extreme equilibria come from vertex enumeration of the best
 response polytopes, and the reference dominance elimination compares the
-Fraction payoffs one at a time.
+Fraction payoffs one at a time. The game documents that more than one test
+module pins are written out here by hand, not by serialize_game.
 """
 
 from __future__ import annotations
@@ -17,6 +18,49 @@ from fractions import Fraction
 
 from bimatrix.core import Game, MixedProfile, make_game
 from bimatrix.dilemma import PdParams
+
+CLASSICAL_DOC = """\
+game classical_pd
+rows C D
+cols C D
+payoffs
+C : -1 -1  -5 0
+D : 0 -5  -4 -4
+"""
+
+
+def formula_doc(name: str, rows: int, cols: int, cell) -> str:
+    """A game document on rows r0.. and columns c0.. whose cell (i, j) holds
+    the payoff pair cell(i, j)."""
+    lines = [
+        f"game {name}",
+        "rows " + " ".join(f"r{i}" for i in range(rows)),
+        "cols " + " ".join(f"c{j}" for j in range(cols)),
+        "payoffs",
+    ]
+    for i in range(rows):
+        lines.append(f"r{i} : " + "  ".join("{} {}".format(*cell(i, j)) for j in range(cols)))
+    return "\n".join(lines) + "\n"
+
+
+def _g5(k: int) -> int:
+    return (11 * k * k + 3 * k) % 97 - 48
+
+
+# A 5x5 game that strict dominance keeps whole, so every support pair that
+# exclusion does not skip is solved.
+G5_DOC = formula_doc("g5", 5, 5, lambda i, j: (_g5(5 * i + j), _g5(25 + 5 * i + j)))
+
+
+def _claim(i: int, j: int) -> int:
+    return i + 2 if i < j else i if i == j else 2 * j - i - 2
+
+
+# A traveler's-dilemma variant on claims 0..11: the lower claim plus 2 for its
+# claimant, a tie pays the claim, and the higher claim j - 2 - (i - j). Each
+# round of strict dominance removes both players' top claim, so only (0, 0)
+# survives after 11 rounds.
+CLAIMS_DOC = formula_doc("claims", 12, 12, lambda i, j: (_claim(i, j), _claim(j, i)))
 
 
 def random_rat(rng: random.Random, lo: int = -9, hi: int = 9, dens=(1, 2, 3)) -> Fraction:

@@ -15,19 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bimatrix
+from bimatrix import equilibrium
 from bimatrix.cli import main
-from bimatrix.core import PureProfile, make_game
+from bimatrix.core import PureProfile, integer_payoffs, make_game
 from bimatrix.equilibrium import is_nash
 from bimatrix.formats import parse_game, serialize_game
 
-CLASSICAL_DOC = """\
-game classical_pd
-rows C D
-cols C D
-payoffs
-C : -1 -1  -5 0
-D : 0 -5  -4 -4
-"""
+from helpers import CLAIMS_DOC, CLASSICAL_DOC, G5_DOC, formula_doc
 
 PENNIES_DOC = """\
 game pennies
@@ -73,6 +67,84 @@ r0 : 1 -1  1 0  -1 1
 r1 : -1 1  1 0  0 -1
 r2 : -1 0  0 1  1 0
 """
+
+
+def _g63(k):
+    return (17 * k * k + 9 * k) % 83 - 41
+
+
+G63_DOC = formula_doc("g63", 6, 3, lambda i, j: (_g63(3 * i + j), _g63(18 + 3 * i + j)))
+
+
+WEAK_DOC = """\
+game weak
+rows a b c
+cols x y z
+payoffs
+a : 1 0  0 0  2 1
+b : 1 1  1 0  0 1
+c : 0 2  -1 2  0 0
+"""
+
+
+FRAC_DOC = """\
+game frac
+rows a b c
+cols x y z
+payoffs
+a : 1/2 -1/2  -1/3 1/3  0 -1
+b : -1/2 1/2  1/3 -1/3  0 -1
+c : -1 0  -1 0  -1 2
+"""
+
+
+def _csv(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+# name: (document, solve flags, stdout, the rows and columns iterated strict
+# dominance keeps, the integer scale of the payoffs, the dominance modes
+# stdout lists). Each document guards one path of the solver: g5 keeps its
+# whole 5x5 game, g63 is shrunk to 5x3, frac is scaled by 6 and shrunk to
+# 2x2, weak reports strict and weak facts, and claims solves one support pair
+# (see test_equilibrium.TestDominanceReduction) where it would otherwise
+# solve 2.7M.
+SOLVE_GOLDENS = {
+    "g5": (G5_DOC, ["--mixed"], _csv(
+        "kind,x,y",
+        "mixed,0;1;0;0;0,1;0;0;0;0",
+        "mixed,1/20;0;0;19/20;0,0;40/77;0;0;37/77",
+        "mixed,1267/2522;0;2141/12610;159/485;0,1274/4365;0;0;1/97;3046/4365",
+        "mixed,0;34/39;0;0;5/39,38/39;1/39;0;0;0",
+        "mixed,0;19/58;0;0;39/58,0;0;19/39;20/39;0",
+        "mixed,1108/2231;0;0;612/2231;511/2231,0;397/873;229/873;0;247/873",
+        "mixed,628/1261;0;5/2522;53/194;22/97,0;31/97;121/1261;295/1261;34/97",
+    ), (5, 5), 1, set()),
+    "g63": (G63_DOC, ["--mixed"], _csv(
+        "kind,x,y",
+        "mixed,0;0;1;0;0;0,0;1;0",
+        "mixed,0;0;0;0;1;0,1;0;0",
+        "mixed,0;0;0;33/64;31/64;0,45/64;19/64;0",
+    ), (5, 3), 1, set()),
+    "weak": (WEAK_DOC, [], _csv(
+        "kind,row,col,strictness", "pure,a,z,strict", "pure,b,x,weak", "",
+        "kind,x,y", "mixed,1;0;0,0;0;1", "mixed,0;1;0,1;0;0", "",
+        "kind,player,dominated,dominator,mode",
+        "dominance,1,c,a,strict", "dominance,1,c,b,weak", "dominance,2,y,x,weak",
+    ), (2, 2), 1, {"strict", "weak"}),
+    "frac": (FRAC_DOC, [], _csv(
+        "kind,row,col,strictness", "",
+        "kind,x,y", "mixed,1/2;1/2;0,2/5;3/5;0", "",
+        "kind,player,dominated,dominator,mode",
+        "dominance,1,c,a,strict", "dominance,1,c,b,strict",
+    ), (2, 2), 6, {"strict"}),
+    "pennies": (PENNIES_DOC, ["--mixed"], _csv(
+        "kind,x,y", "mixed,1/2;1/2,1/2;1/2",
+    ), (2, 2), 1, set()),
+    "claims": (CLAIMS_DOC, ["--mixed"], _csv(
+        "kind,x,y", "mixed,1" + ";0" * 11 + ",1" + ";0" * 11,
+    ), (1, 1), 1, set()),
+}
 
 
 @pytest.fixture
@@ -182,10 +254,18 @@ class TestSolve:
         assert code == 0
         assert out == "kind,row,col,strictness\n"
 
-    def test_mixed_section_for_pennies(self, run, pennies_file):
-        code, out, _ = run("solve", pennies_file, "--mixed", "--format", "csv")
-        assert code == 0
-        assert out == "kind,x,y\nmixed,1/2;1/2,1/2;1/2\n"
+    @pytest.mark.parametrize("name", SOLVE_GOLDENS)
+    def test_golden(self, run, tmp_path, name):
+        doc, flags, expected, kept, scale, modes = SOLVE_GOLDENS[name]
+        path = tmp_path / f"{name}.game"
+        path.write_text(doc, encoding="utf-8")
+        code, out, err = run("solve", str(path), *flags, "--format", "csv")
+        assert (code, out, err) == (0, expected, "")
+        factor, u1, u2 = integer_payoffs(parse_game(doc).game)
+        rows, cols = equilibrium._undominated(u1, u2)
+        assert ((len(rows), len(cols)), factor) == (kept, scale)
+        facts = [line for line in out.splitlines() if line.startswith("dominance,")]
+        assert {fact.rsplit(",", 1)[1] for fact in facts} == modes
 
     def test_nul_label_in_csv(self, run, tmp_path):
         # Python 3.10's csv writer cannot write NUL at all; later ones write it unquoted.
@@ -398,8 +478,9 @@ class TestReduce:
         assert code == 0
         assert out == run("pd")[1]
 
-    def test_ambiguous_reduction_matches_pd_bytes(self, run, tmp_path):
-        _, gpd_text, _ = run("gpd", "--ambiguous", "pessimistic")
+    @pytest.mark.parametrize("attitude", ["pessimistic", "optimistic"])
+    def test_ambiguous_reduction_matches_pd_bytes(self, run, tmp_path, attitude):
+        _, gpd_text, _ = run("gpd", "--ambiguous", attitude)
         path = tmp_path / "g3.game"
         path.write_text(gpd_text, encoding="utf-8")
         code, out, _ = run("reduce", str(path))

@@ -153,6 +153,16 @@ class TestValidateGame:
         g = Game(("C",), ("L", ""), ((1, 2),), ((3, 4),))
         assert validate_game(g) == ["player 2 has an empty strategy label"]
 
+    def test_non_string_labels_reported(self):
+        g = Game((1, ["b"]), ("x", None), ((1, 0), (0, 0)), ((0, 0), (0, 0)))
+        assert validate_game(g) == [
+            "player 1 has a strategy label that is not a string: 1",
+            "player 1 has a strategy label that is not a string: ['b']",
+            "player 2 has a strategy label that is not a string: None",
+        ]
+        with pytest.raises(InvalidGameError, match="not a string: 2"):
+            make_game([1, 2], ["x"], [[1], [0]], [[0], [0]])
+
     def test_make_game_raises_on_violation(self):
         with pytest.raises(InvalidGameError):
             make_game(["C", "C"], ["L"], [[1], [2]], [[1], [2]])

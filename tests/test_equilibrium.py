@@ -25,8 +25,11 @@ from bimatrix.equilibrium import (
     mixed_equilibria,
     pure_equilibria,
 )
+from bimatrix.formats import parse_game
 
 from helpers import (
+    CLAIMS_DOC,
+    G5_DOC,
     assert_mixed_profile_sound,
     brute_force_pure,
     random_game,
@@ -528,19 +531,6 @@ class TestEliminationOracle:
         self.check(_int_game(data.draw(matrix), data.draw(matrix)))
 
 
-def _claims_game(n):
-    """A traveler's-dilemma variant on claims 0..n-1: the lower claim plus 2
-    for its claimant, a tie pays the claim, and the higher claim j - 2 - (i - j).
-    Each round of strict dominance removes both players' top claim, so only
-    (0, 0) survives after n - 1 rounds."""
-
-    def pay(i, j):
-        return i + 2 if i < j else i if i == j else 2 * j - i - 2
-
-    u1 = [[pay(i, j) for j in range(n)] for i in range(n)]
-    return _int_game(u1, [[pay(j, i) for j in range(n)] for i in range(n)])
-
-
 def _player1_solves(monkeypatch):
     """The (own, other) supports, as positions among the survivors of
     elimination, of every player-1 system solved from now on.
@@ -601,7 +591,7 @@ class TestDominanceReduction:
         ]
 
     def test_twelve_by_twelve_solves_one_support_pair(self, monkeypatch):
-        g = _claims_game(12)
+        g = parse_game(CLAIMS_DOC).game
         _, u1, u2 = integer_payoffs(g)
         assert equilibrium._undominated(u1, u2) == ([0], [0])
         solved = _player1_solves(monkeypatch)
@@ -610,6 +600,16 @@ class TestDominanceReduction:
         assert analyze(g).mixed == (MixedProfile(corner, corner),)
         # Without the reduction this is C(24, 12) - 1 = 2,704,155 pairs.
         assert solved == [((0,), (0,))]
+
+    def test_five_by_five_solves_sixty_seven_systems(self, monkeypatch):
+        # Nothing is strictly dominated (the g5 row of the solve goldens in
+        # test_cli checks it), so only the exclusion of supports holding a
+        # conditionally dominated strategy bounds the work: 67 of the
+        # C(10, 5) - 1 = 251 equal-size support pairs are solved.
+        g = parse_game(G5_DOC).game
+        solved = _player1_solves(monkeypatch)
+        assert len(analyze(g).mixed) == 7
+        assert len(solved) == 67
 
     def test_rock_paper_scissors_skips_conditionally_dominated_supports(self, monkeypatch):
         # Nothing is strictly dominated, but against each support of size 1

@@ -31,16 +31,7 @@ from bimatrix.formats import (
     serialize_game,
 )
 
-from helpers import random_game
-
-CLASSICAL_DOC = """\
-game classical_pd
-rows C D
-cols C D
-payoffs
-C : -1 -1  -5 0
-D : 0 -5  -4 -4
-"""
+from helpers import CLASSICAL_DOC, random_game
 
 # Every character str.isspace() accepts, and those that str.splitlines() does
 # not break a line at, so they can separate tokens inside one line.
