@@ -76,7 +76,8 @@ def _profile(text: str) -> list[tuple[str, str]]:
 
 def _read_document(path: str) -> GameDocument:
     # Files and stdin both decode as UTF-8 whatever the locale, keeping
-    # undecodable bytes as lone surrogates for parse_game to locate.
+    # undecodable bytes as lone surrogates for parse_game to locate, and drop
+    # the byte-order mark some editors write.
     if path != "-":
         with open(path, encoding="utf-8", errors="surrogateescape") as file:
             text = file.read()
@@ -84,7 +85,7 @@ def _read_document(path: str) -> GameDocument:
         text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
     else:
         text = sys.stdin.read()
-    return parse_game(text)
+    return parse_game(text.removeprefix("\ufeff"))
 
 
 def cmd_solve(args: argparse.Namespace) -> None:

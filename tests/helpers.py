@@ -1,13 +1,15 @@
 """Shared generators and independent oracles for the test suite.
 
-The oracles here deliberately avoid the library's own solver paths: pure
-equilibria are found by scanning every profile and every deviation, mixed
-profiles are checked by summing expected payoffs directly, the reference
-support enumeration has its own elimination and no dominance step, the
-reference extreme equilibria come from vertex enumeration of the best
-response polytopes, and the reference dominance elimination compares the
-Fraction payoffs one at a time. The game documents that more than one test
-module pins are written out here by hand, not by serialize_game.
+The pure-equilibrium scan, the strictness and dominance scans and the mixed
+soundness check come from `perfbench/checker.py` (imported as `checker`),
+which imports nothing from the library and is also the benchmark's answer
+check. The oracles here are the ones the checker lacks, and they too avoid
+the library's own solver paths: the reference support enumeration has its
+own elimination and no dominance step, the reference extreme equilibria come
+from vertex enumeration of the best response polytopes, and the reference
+dominance elimination compares the Fraction payoffs one at a time. The game
+documents that more than one test module pins are written out here by hand,
+not by serialize_game.
 """
 
 from __future__ import annotations
@@ -94,44 +96,6 @@ def random_weight(rng: random.Random, positive: bool = False) -> Fraction:
     den = rng.randint(1, 12)
     num = rng.randint(1 if positive else 0, den)
     return Fraction(num, den)
-
-
-def brute_force_pure(g: Game) -> list[tuple[int, int]]:
-    """Every profile no unilateral deviation improves on, by direct scan."""
-    rows, cols = g.shape
-    found = []
-    for i in range(rows):
-        for j in range(cols):
-            stable1 = all(g.u1[k][j] <= g.u1[i][j] for k in range(rows))
-            stable2 = all(g.u2[i][k] <= g.u2[i][j] for k in range(cols))
-            if stable1 and stable2:
-                found.append((i, j))
-    return found
-
-
-def assert_mixed_profile_sound(g: Game, m: MixedProfile) -> None:
-    """Exact support-indifference and no-profitable-deviation conditions."""
-    rows, cols = g.shape
-    row_values = [
-        sum((g.u1[i][j] * m.y[j] for j in range(cols)), start=Fraction(0))
-        for i in range(rows)
-    ]
-    col_values = [
-        sum((g.u2[i][j] * m.x[i] for i in range(rows)), start=Fraction(0))
-        for j in range(cols)
-    ]
-    for weights, values, who in ((m.x, row_values, 1), (m.y, col_values, 2)):
-        support = [k for k, p in enumerate(weights) if p > 0]
-        assert support, f"player {who} support is empty"
-        target = values[support[0]]
-        for k in support:
-            assert values[k] == target, (
-                f"player {who} strategy {k} on support pays {values[k]} != {target}"
-            )
-        for k, value in enumerate(values):
-            assert value <= target, (
-                f"player {who} off-support strategy {k} pays {value} > {target}"
-            )
 
 
 def _solve_by_substitution(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:

@@ -315,6 +315,28 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert position in err and "UTF-8" in err
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_byte_order_mark_is_dropped(self, run, monkeypatch, tmp_path, pd_file, source):
+        # Some editors start a UTF-8 file with the mark U+FEFF.
+        data = b"\xef\xbb\xbf" + CLASSICAL_DOC.encode("utf-8")
+        if source == "file":
+            path = tmp_path / "bom.game"
+            path.write_bytes(data)
+            target = str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            target = "-"
+        code, out, err = run("solve", target)
+        assert (code, err) == (0, "")
+        assert out == run("solve", pd_file)[1]
+
+    def test_second_byte_order_mark_exits_2(self, run, tmp_path):
+        path = tmp_path / "bom2.game"
+        path.write_bytes(b"\xef\xbb\xbf" * 2 + CLASSICAL_DOC.encode("utf-8"))
+        code, out, err = run("solve", str(path))
+        assert (code, out) == (2, "")
+        assert "line 1, column 1" in err
+
     def test_missing_file_exits_2(self, run, tmp_path):
         code, _, err = run("solve", str(tmp_path / "absent.game"))
         assert code == 2

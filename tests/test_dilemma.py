@@ -25,6 +25,7 @@ from bimatrix.dilemma import (
 )
 from bimatrix.equilibrium import DominanceFact, dominance_facts, pure_equilibria
 
+import checker
 from helpers import random_params, random_weight
 
 
@@ -141,39 +142,18 @@ class TestGeneralizedPd:
     @example(free=Fraction(1, 3), gaps=[Fraction(1, 2), Fraction(5), Fraction(7, 4)], sem=Mixture(0))
     @example(free=Fraction(1, 3), gaps=[Fraction(1, 2), Fraction(5), Fraction(7, 4)], sem=Mixture(1))
     def test_every_entry_follows_the_definition(self, free, gaps, sem):
-        # Straight from the module docstring: C, D and S resolve to C with
-        # weights 1, 0 and w (Mixture), or to the sets {C}, {D} and {C, D}
-        # (Ambiguous); payoffs are negated years.
-        params = PdParams(free, free + gaps[0], free + gaps[0] + gaps[1], free + sum(gaps))
-        free, coop, defect, sucker = (
-            -params.years_free, -params.years_both_coop,
-            -params.years_both_defect, -params.years_sucker,
-        )
-        base1 = [[coop, sucker], [free, defect]]
-        base2 = [[coop, free], [sucker, defect]]
+        # checker.gpd_payoffs builds the game straight from the module
+        # docstring, sharing no code with the twin rule: C, D and S resolve to
+        # C with weights 1, 0 and w (Mixture), or to the sets {C}, {D} and
+        # {C, D} (Ambiguous); payoffs are negated years.
+        years = (free, free + gaps[0], free + gaps[0] + gaps[1], free + sum(gaps))
         if isinstance(sem, Mixture):
-            weights = [(1, 0), (0, 1), (sem.w, 1 - sem.w)]
-            expected = [
-                [
-                    [sum(weights[a][x] * weights[b][y] * base[x][y] for x in (0, 1) for y in (0, 1))
-                     for b in range(3)]
-                    for a in range(3)
-                ]
-                for base in (base1, base2)
-            ]
+            expected = checker.gpd_payoffs(years, "mixture", sem.w)
         else:
-            resolutions = [(0,), (1,), (0, 1)]
-            pick = min if sem.attitude == "pessimistic" else max
-            expected = [
-                [
-                    [pick(base[x][y] for x in resolutions[a] for y in resolutions[b]) for b in range(3)]
-                    for a in range(3)
-                ]
-                for base in (base1, base2)
-            ]
-        g = generalized_pd(params, sem)
+            expected = checker.gpd_payoffs(years, sem.attitude)
+        g = generalized_pd(PdParams(*years), sem)
         assert g.labels1 == g.labels2 == ("C", "D", "S")
-        assert [[list(row) for row in u] for u in (g.u1, g.u2)] == expected
+        assert (g.u1, g.u2) == expected
 
     def test_invalid_weight_rejected(self):
         with pytest.raises(ValueError):

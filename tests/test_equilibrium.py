@@ -27,11 +27,10 @@ from bimatrix.equilibrium import (
 )
 from bimatrix.formats import parse_game
 
+import checker
 from helpers import (
     CLAIMS_DOC,
     G5_DOC,
-    assert_mixed_profile_sound,
-    brute_force_pure,
     random_game,
     random_rat,
     reference_extreme_equilibria,
@@ -123,7 +122,7 @@ class TestPureNash:
         rng = random.Random(11)
         for _ in range(150):
             g = random_game(rng)
-            assert [(p.i, p.j) for p in pure_equilibria(g)] == brute_force_pure(g)
+            assert [(p.i, p.j) for p in pure_equilibria(g)] == checker.pure_nash(g.u1, g.u2)
 
     @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6))
     def test_matches_is_nash_scan_on_games_with_ties(self, data, rows, cols):
@@ -218,7 +217,7 @@ class TestMixedEquilibria:
         for _ in range(40):
             g = random_game(rng, 3, 3)
             for m in mixed_equilibria(g):
-                assert_mixed_profile_sound(g, m)
+                assert not checker.mixed_problems(g.u1, g.u2, m.x, m.y)
 
     def test_results_are_duplicate_free(self):
         rng = random.Random(29)
@@ -264,7 +263,8 @@ class TestMixedEquilibria:
 
     @pytest.mark.parametrize("x, y", MISSED_PROFILES)
     def test_missed_profiles_are_equilibria(self, x, y):
-        assert_mixed_profile_sound(_int_game(*self.MISSED_GAP), MixedProfile(_vector(x), _vector(y)))
+        g = _int_game(*self.MISSED_GAP)
+        assert not checker.mixed_problems(g.u1, g.u2, _vector(x), _vector(y))
 
     @pytest.mark.xfail(strict=True, reason="support enumeration misses extreme equilibria pinned by ties")
     def test_analyze_lists_every_extreme_equilibrium(self):
@@ -316,7 +316,7 @@ class TestMixedEquilibria:
             d1 = g.u1[0][0] - g.u1[0][1] - g.u1[1][0] + g.u1[1][1]
             d2 = g.u2[0][0] - g.u2[1][0] - g.u2[0][1] + g.u2[1][1]
             expected = set()
-            for i, j in brute_force_pure(g):
+            for i, j in checker.pure_nash(g.u1, g.u2):
                 x = tuple(Fraction(int(k == i)) for k in range(2))
                 y = tuple(Fraction(int(k == j)) for k in range(2))
                 expected.add((x, y))
@@ -430,6 +430,21 @@ def _tie_heavy_games(max_side: int = 5):
     return build()
 
 
+# Few distinct values, some of them fractions, so ties are common and the
+# reduced game is scaled by 6 to integers.
+FRACTIONAL_UNITS = tuple(map(Fraction, ("-1", "-1/2", "0", "1/3", "1")))
+
+
+@st.composite
+def _games_over(draw, values, max_side=4):
+    """Games of at most max_side strategies each, every payoff drawn from values."""
+    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    matrix = st.lists(
+        st.lists(st.sampled_from(values), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+    return _int_game(draw(matrix), draw(matrix))
+
+
 class TestSupportEnumerationOracle:
     """The mixed list, its order and the degenerate flag against
     helpers.reference_support_enumeration, which shares no code with the
@@ -472,23 +487,35 @@ class TestSupportEnumerationOracle:
         )
         self.check(_int_game(data.draw(matrix), data.draw(matrix)))
 
+    @settings(deadline=None, max_examples=300)
+    @given(g=_games_over(FRACTIONAL_UNITS))
+    def test_matches_reference_on_fractional_unit_games(self, g):
+        self.check(g)
+
 
 class TestExtremeEquilibriumOracle:
     """Every mixed profile is an extreme equilibrium, against
     helpers.reference_extreme_equilibria, which enumerates the vertices of the
     best response polytopes and shares no code with the solver. The solver
-    may miss extreme equilibria (see the strict xfail above), so only the
-    inclusion is checked."""
+    may miss extreme equilibria on degenerate games (see the strict xfail
+    above), so in general only the inclusion is checked. In general position
+    (checker.in_general_position) support enumeration is complete, and the
+    sets must be equal."""
 
     @staticmethod
     def check(g):
+        """Whether g was in general position, so that equality was checked."""
         extreme = reference_extreme_equilibria(g)
         assert extreme, "every game has an extreme equilibrium"
         try:
-            found = mixed_equilibria(g)
+            found = set(mixed_equilibria(g))
         except NoEquilibriumFoundError:
-            found = []
-        assert set(found) <= extreme
+            found = set()
+        assert found <= extreme
+        general = checker.in_general_position(g.u1, g.u2)
+        if general:
+            assert found == extreme
+        return general
 
     def test_oracle_finds_the_missed_extreme_equilibria(self):
         expected = [("0 0 1", "0 1 0")] + TestMixedEquilibria.MISSED_PROFILES
@@ -501,11 +528,27 @@ class TestExtremeEquilibriumOracle:
     def test_on_tie_heavy_games(self, g):
         self.check(g)
 
+    @settings(deadline=None, max_examples=200)
+    @given(g=_games_over(FRACTIONAL_UNITS))
+    def test_on_fractional_unit_games(self, g):
+        self.check(g)
+
     def test_on_random_5x5_games(self):
         rng = random.Random(53)
         for _ in range(25):
             u1, u2 = ([[random_rat(rng) for _ in range(5)] for _ in range(5)] for _ in "12")
             self.check(_int_game(u1, u2))
+
+    def test_complete_on_wide_payoff_games(self):
+        # Payoffs from [-99, 99] are seldom tied, so most of these games are
+        # in general position and the equality is checked.
+        rng = random.Random(59)
+        general = 0
+        for k in range(40):
+            rows, cols = 2 + k % 3, 2 + k // 3 % 3
+            u1, u2 = ([[rng.randint(-99, 99) for _ in range(cols)] for _ in range(rows)] for _ in "12")
+            general += self.check(_int_game(u1, u2))
+        assert general >= 30
 
 
 class TestEliminationOracle:
@@ -665,6 +708,55 @@ class TestPlayerSwap:
         self.check(g)
 
 
+def _permute(g, rows, cols):
+    """g with its rows and columns reordered: row k of the result is row rows[k]."""
+    return make_game(
+        [g.labels1[i] for i in rows], [g.labels2[j] for j in cols],
+        *([[u[i][j] for j in cols] for i in rows] for u in (g.u1, g.u2)),
+    )
+
+
+class TestStrategyPermutation:
+    """Reordering the strategies reorders every section of the analysis alike
+    and keeps the degenerate flag: the masks and positions the solver keeps
+    must map back to the right strategies."""
+
+    @staticmethod
+    def outcome(g, rows, cols):
+        """analyze(g) as sets, each strategy k named rows[k] or cols[k]."""
+        try:
+            report = analyze(g)
+        except NoEquilibriumFoundError:
+            return None
+        names = {1: rows, 2: cols}
+
+        def spread(v, order):
+            return tuple(v[order.index(k)] for k in range(len(order)))
+
+        return (
+            {(rows[p.i], cols[p.j], s) for p, s in zip(report.pure, report.strict)},
+            {(f.player, names[f.player][f.dominated], names[f.player][f.dominator], f.mode)
+             for f in report.dominance},
+            {(spread(m.x, rows), spread(m.y, cols)) for m in report.mixed},
+            report.degenerate,
+        )
+
+    def check(self, g, data):
+        rows, cols = (data.draw(st.permutations(range(n))) for n in g.shape)
+        identity = [list(range(n)) for n in g.shape]
+        assert self.outcome(_permute(g, rows, cols), rows, cols) == self.outcome(g, *identity)
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data(), g=_tie_heavy_games(4))
+    def test_tie_heavy_games(self, data, g):
+        self.check(g, data)
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data(), g=_games_over(FRACTIONAL_UNITS))
+    def test_fractional_unit_games(self, data, g):
+        self.check(g, data)
+
+
 class TestStructuralProperties:
     def test_affine_rescaling_one_player_preserves_analysis(self):
         rng = random.Random(37)
@@ -743,47 +835,14 @@ class TestAnalyze:
         assert modes[(1, 0, 1)] == "weak"
 
 
-def _reference_analysis(g):
-    """Pure equilibria, strictness and dominance by plain Fraction scans.
-
-    Shares no code with the solver: every condition is read off the payoff
-    definitions, one comparison of the original Fractions at a time.
-    """
-    u1, u2 = g.u1, g.u2
-    rows, cols = len(u1), len(u1[0])
-    pure, strict = [], []
-    for i in range(rows):
-        for j in range(cols):
-            if all(u1[k][j] <= u1[i][j] for k in range(rows)) and all(
-                u2[i][k] <= u2[i][j] for k in range(cols)
-            ):
-                pure.append(PureProfile(i, j))
-                strict.append(
-                    all(u1[k][j] < u1[i][j] for k in range(rows) if k != i)
-                    and all(u2[i][k] < u2[i][j] for k in range(cols) if k != j)
-                )
-    facts = []
-    for player, count, others, pay in (
-        (1, rows, cols, lambda own, other: u1[own][other]),
-        (2, cols, rows, lambda own, other: u2[other][own]),
-    ):
-        for a in range(count):
-            for b in range(count):
-                if a == b:
-                    continue
-                gaps = [pay(b, o) - pay(a, o) for o in range(others)]
-                if all(gap > 0 for gap in gaps):
-                    facts.append(DominanceFact(player, a, b, "strict"))
-                elif all(gap >= 0 for gap in gaps) and any(gap > 0 for gap in gaps):
-                    facts.append(DominanceFact(player, a, b, "weak"))
-    return pure, strict, facts
-
-
 class TestIntegerComparisonOracle:
     @settings(deadline=None)
     @given(g=_tie_heavy_games())
     def test_pure_strict_and_dominance_match_fraction_reference(self, g):
-        pure, strict, facts = _reference_analysis(g)
+        # The checker reads every condition off the original Fractions.
+        pure = [PureProfile(i, j) for i, j in checker.pure_nash(g.u1, g.u2)]
+        strict = [checker.is_strict_nash(g.u1, g.u2, p.i, p.j) for p in pure]
+        facts = [DominanceFact(*fact) for fact in sorted(checker.dominance(g.u1, g.u2))]
         assert pure_equilibria(g) == pure
         assert [is_strict(g, p) for p in pure] == strict
         assert dominance_facts(g, "strict") == [f for f in facts if f.mode == "strict"]
