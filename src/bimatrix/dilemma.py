@@ -260,8 +260,9 @@ def sweep_mixture(params: PdParams, steps: int) -> list[SweepRow]:
     pays w times C's payoff plus 1 - w times D's against every opponent
     strategy, so D - S = w (D - C) and S - C = (1 - w)(D - C): D strictly
     dominates S for w > 0 and S strictly dominates C for w < 1, for both
-    players. So only the games at w = 0, 1/steps and 1 are solved, and rows
-    with equal outcomes share one equilibria tuple and one dominance tuple.
+    players. So only the games at w = 0, 1/steps (for steps >= 2) and 1 are
+    solved, and rows with equal outcomes share one equilibria tuple and one
+    dominance tuple.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -271,5 +272,6 @@ def sweep_mixture(params: PdParams, steps: int) -> list[SweepRow]:
         pairs = tuple((g.labels1[p.i], g.labels2[p.j]) for p in pure_equilibria(g))
         return pairs, tuple(dominance_facts(g, "strict"))
 
-    outcomes = [outcome(0), *[outcome(1)] * (steps - 1), outcome(steps)]
+    middle = [outcome(1)] * (steps - 1) if steps >= 2 else []
+    outcomes = [outcome(0), *middle, outcome(steps)]
     return [SweepRow(Fraction(k, steps), GENERALIZED_LABELS, *o) for k, o in enumerate(outcomes)]

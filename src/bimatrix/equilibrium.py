@@ -11,8 +11,11 @@ supports of equal size, each player's square indifference system is solved
 over Fraction, and solutions are kept only if every support probability is
 strictly positive and no off-support deviation pays more (weak inequality,
 exact). Unequal sizes are skipped: one player's system then has more unknowns
-than equations, so it never has the unique solution enumeration keeps.
-Intended for small games (at most ~7 strategies per side after elimination).
+than equations, so it never has the unique solution enumeration keeps. A
+pair of one-strategy supports, a pure profile, needs no system: the
+opponent's weight is 1 and the payoff is the entry, so only the off-support
+check runs, on integers. Intended for small games (at most ~7 strategies per
+side after elimination).
 
 Strict dominance is decided by one test, `all(map(gt, vb, va))`: strategy b
 pays strictly more than strategy a against every opponent strategy held.
@@ -263,15 +266,24 @@ def _opponent_mixture(
     payoff; None when the system is singular, a probability is not positive,
     or an off-support survivor pays more. Removed strategies can neither beat
     nor tie it, so they are not checked.
+
+    A pair of one-strategy supports needs no system: the opponent's weight
+    is 1 and the payoff is the entry u[s][t], so the off-support check
+    compares integers.
     """
-    a = [[_MINUS_ONE, *(u[s][t] for t in other_support)] for s in own_support]
-    a.append([_ZERO] + [_ONE] * len(other_support))
-    solution = _solve_square(a, [_ZERO] * len(own_support) + [_ONE])
-    if solution is None or any(p <= 0 for p in solution[1:]):
-        return None
-    value, *mixture = solution
     off_support = (row for s, row in enumerate(u) if s not in own_support)
-    deviations = [sum(p * row[t] for t, p in zip(other_support, mixture)) for row in off_support]
+    if len(other_support) == 1:
+        (s,), (t,) = own_support, other_support
+        value, mixture = u[s][t], [_ONE]
+        deviations = [row[t] for row in off_support]
+    else:
+        a = [[_MINUS_ONE, *(u[s][t] for t in other_support)] for s in own_support]
+        a.append([_ZERO] + [_ONE] * len(other_support))
+        solution = _solve_square(a, [_ZERO] * len(own_support) + [_ONE])
+        if solution is None or any(p <= 0 for p in solution[1:]):
+            return None
+        value, *mixture = solution
+        deviations = [sum(p * row[t] for t, p in zip(other_support, mixture)) for row in off_support]
     return None if any(d > value for d in deviations) else (mixture, value in deviations)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bimatrix import dilemma
 from bimatrix.core import PureProfile, make_game, validate_game
 from bimatrix.dilemma import (
     Ambiguous,
@@ -499,6 +500,22 @@ class TestSweep:
         )
         assert outcome(w) == ([PureProfile(D, D)], facts((C, D), (C, S), (S, D)))
         assert outcome(1) == ([PureProfile(D, D)], facts((C, D), (S, D)))
+
+    @pytest.mark.parametrize("steps, games", [(1, 2), (2, 3), (5, 3)])
+    def test_solves_at_most_three_games(self, monkeypatch, steps, games):
+        # w = 0, 1/steps and 1; with one step the middle run is empty, so
+        # the w = 1 game is built once.
+        weights = []
+
+        def counted(params, sem):
+            weights.append(sem.w)
+            return generalized_pd(params, sem)
+
+        monkeypatch.setattr(dilemma, "generalized_pd", counted)
+        rows = sweep_mixture(PdParams(), steps)
+        assert len(weights) == games
+        assert sorted(set(weights)) == sorted({Fraction(0), Fraction(1, steps), Fraction(1)})
+        assert [row.w for row in rows] == [Fraction(k, steps) for k in range(steps + 1)]
 
     def test_step_count_validated(self):
         with pytest.raises(ValueError):

@@ -599,6 +599,57 @@ def _player1_solves(monkeypatch):
     return solved
 
 
+def _linear_solves(monkeypatch):
+    """The size of every system that reaches _solve_square from now on."""
+    sizes = []
+    original = equilibrium._solve_square
+
+    def counted(a, b):
+        sizes.append(len(a))
+        return original(a, b)
+
+    monkeypatch.setattr(equilibrium, "_solve_square", counted)
+    return sizes
+
+
+class TestOneStrategySupports:
+    """A pair of one-strategy supports is decided without a linear system:
+    the opponent's weight is 1 and the payoff is the entry."""
+
+    @pytest.mark.parametrize(
+        "build", [classical_pd, lambda: parse_game(CLAIMS_DOC).game], ids=["pd", "claims"]
+    )
+    def test_pure_games_solve_no_system(self, monkeypatch, build):
+        g = build()
+        sizes = _linear_solves(monkeypatch)
+        report = analyze(g)
+        assert sizes == []
+        assert [checker.mixed_problems(g.u1, g.u2, m.x, m.y) for m in report.mixed] == [[]]
+
+    def test_off_support_tie_at_a_pure_profile_sets_degenerate(self, monkeypatch):
+        # Column 1 falls to column 0; both rows then pay 1 against column 0,
+        # so each pure profile is an equilibrium whose off-support row ties.
+        g = _int_game([[1, 1], [1, 0]], [[1, 0], [1, 0]])
+        sizes = _linear_solves(monkeypatch)
+        one, zero = Fraction(1), Fraction(0)
+        expected = [MixedProfile((one, zero), (one, zero)), MixedProfile((zero, one), (one, zero))]
+        assert reference_support_enumeration(g) == (expected, True)
+        report = analyze(g)
+        assert (list(report.mixed), report.degenerate) == (expected, True)
+        assert sizes == []
+
+    def test_pure_support_probabilities_are_fractions(self):
+        # The base case returns the weight as a Fraction, as a solved system does.
+        for u, tied in (([[3, 1], [2, 5]], False), ([[3, 1], [3, 5]], True)):
+            mixture, tie = equilibrium._opponent_mixture(u, (0,), (0,))
+            assert (mixture, tie) == ([1], tied) and type(mixture[0]) is Fraction
+        games = [classical_pd(), parse_game(CLAIMS_DOC).game, coordination(),
+                 _int_game([[1, 1], [1, 0]], [[1, 0], [1, 0]])]
+        for g in games:
+            for m in analyze(g).mixed:
+                assert {type(p) for p in (*m.x, *m.y)} == {Fraction}
+
+
 class TestDominanceReduction:
     def test_column_falls_only_after_a_row_does(self):
         # Row 2 is strictly dominated; column 2 is dominated only once row 2
@@ -651,8 +702,14 @@ class TestDominanceReduction:
         # C(10, 5) - 1 = 251 equal-size support pairs are solved.
         g = parse_game(G5_DOC).game
         solved = _player1_solves(monkeypatch)
+        sizes = _linear_solves(monkeypatch)
         assert len(analyze(g).mixed) == 7
         assert len(solved) == 67
+        # One of them, a pure profile, is decided without a system. The
+        # other 66 and the 23 player-2 systems that follow a player-1
+        # mixture reach _solve_square, each on a support of two or more.
+        assert sum(len(own) > 1 for own, _ in solved) == 66
+        assert len(sizes) == 89 and min(sizes) == 3
 
     def test_rock_paper_scissors_skips_conditionally_dominated_supports(self, monkeypatch):
         # Nothing is strictly dominated, but against each support of size 1
