@@ -23,6 +23,11 @@ type, a float or a tuple among them, raises TypeError. A csv mixed cell lists
 its probabilities separated by ';', which no rational contains, so each part
 reads back with parse_rat.
 
+Csv is written with RFC 4180 minimal quoting: a field holding ',', '"', CR or
+LF is quoted, with its quotes doubled, and every row ends in LF. Any other
+character, NUL among them, is written as is. This module writes those bytes
+itself, so they do not depend on the Python version.
+
 A sweep's outcomes are piecewise constant in the weight, so emission works
 per run of equal outcomes: each run's outcome is rendered once, as the members
 of a JSON row object or as the last two fields of a csv row, and every row of
@@ -34,8 +39,6 @@ All emitters are deterministic: equal inputs give byte-identical output.
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -49,6 +52,7 @@ FORMATS = ("table", "csv", "json")
 
 _RAT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _TOKEN_RE = re.compile(r"\S+")
+_CSV_QUOTE_RE = re.compile(r'[,"\r\n]')
 
 _Piece = TypeVar("_Piece")
 
@@ -295,25 +299,12 @@ def _json_text(obj: object) -> str:
 
 
 def _csv_text(rows: Sequence[Sequence[str]]) -> str:
-    buffer = io.StringIO()
-    try:
-        csv.writer(buffer, lineterminator="\n").writerows(rows)
-    except csv.Error as exc:
-        # Python 3.10's writer cannot write NUL at all; name the first field
-        # it rejects alone, or else the first row it rejects.
-        row = list(next(filter(_csv_rejects, rows), ()))
-        field = next((field for field in row if _csv_rejects([field])), None)
-        culprit = f"the row {row!r} as csv" if field is None else f"{field!r} as a csv field"
-        raise ValueError(f"cannot write {culprit}: {exc}") from None
-    return buffer.getvalue()
-
-
-def _csv_rejects(row: Sequence[str]) -> bool:
-    try:
-        csv.writer(io.StringIO()).writerow(row)
-    except csv.Error:
-        return True
-    return False
+    """Csv text of rows, quoted by the rule in the module docstring."""
+    lines = []
+    for row in rows:
+        fields = ['"' + f.replace('"', '""') + '"' if _CSV_QUOTE_RE.search(f) else f for f in row]
+        lines.append(",".join(fields) + "\n")
+    return "".join(lines)
 
 
 def _fact_record(fact: DominanceFact, labels1: Sequence[str], labels2: Sequence[str]) -> dict:
