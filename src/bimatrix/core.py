@@ -18,7 +18,6 @@ pay.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Literal, Sequence
@@ -213,20 +212,6 @@ def check_profile(g: Game, p: PureProfile) -> None:
     rows, cols = g.shape
     if not (0 <= p.i < rows and 0 <= p.j < cols):
         raise IndexError(f"profile ({p.i}, {p.j}) out of range for a {rows}x{cols} game")
-
-
-def integer_payoffs(g: Game) -> tuple[int, list[list[int]], list[list[int]]]:
-    """The LCM of both matrices' denominators, and both matrices times it.
-
-    Multiplying by one positive integer is exact and keeps the order of the
-    values, so comparing the integers decides every comparison of the payoffs.
-    """
-    scale = math.lcm(*[v.denominator for u in (g.u1, g.u2) for row in u for v in row])
-    u1, u2 = (
-        [[v.numerator * (scale // v.denominator) for v in row] for row in u]
-        for u in (g.u1, g.u2)
-    )
-    return scale, u1, u2
 
 
 def payoff(g: Game, player: Player, p: PureProfile) -> Rat:

@@ -28,17 +28,15 @@ Deleting S recovers the classical game exactly, whatever the semantics.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Literal, Sequence, TypeVar
+from typing import Callable, Literal, Sequence
 
-from .core import Game, Rat, Record, as_rat, integer_payoffs, make_game
+from .core import Game, Rat, Record, as_rat, make_game
 from .equilibrium import DominanceFact, dominance_facts, pure_equilibria
 
 Attitude = Literal["pessimistic", "optimistic"]
 
 CLASSICAL_LABELS = ("C", "D")
 GENERALIZED_LABELS = ("C", "D", "S")
-
-_T = TypeVar("_T")
 
 
 class NotGeneralizedGameError(ValueError):
@@ -114,7 +112,7 @@ def classical_pd(params: PdParams = PdParams()) -> Game:
     return make_game(CLASSICAL_LABELS, CLASSICAL_LABELS, u1, u2)
 
 
-def _with_silence(u: Sequence[Sequence[_T]], combine: Callable[[_T, _T], _T]) -> list[list[_T]]:
+def _with_silence(u: Sequence[Sequence[Rat]], combine: Callable[[Rat, Rat], Rat]) -> list[list[Rat]]:
     """Extend a 2x2 C/D block by an S row, then an S column, by the twin rule.
 
     Each new entry is combine(C twin, D twin), so (S,S) combines (S,C) and (S,D).
@@ -125,20 +123,20 @@ def _with_silence(u: Sequence[Sequence[_T]], combine: Callable[[_T, _T], _T]) ->
 
 
 def generalized_pd(params: PdParams, sem: SilenceSemantics) -> Game:
-    """The 3x3 game over {C, D, S} whose C/D block equals the classical game."""
-    base = classical_pd(params)
-    if isinstance(sem, Ambiguous):
-        pick = min if sem.attitude == "pessimistic" else max
-        u1, u2 = (_with_silence(u, pick) for u in (base.u1, base.u2))
-    elif isinstance(sem, Mixture):
-        # In integers scaled by q**2, both steps of the twin rule divide by q exactly.
-        scale, *blocks = integer_payoffs(base)
-        p, q = sem.w.numerator, sem.w.denominator
-        mix = lambda c, d: (p * c + (q - p) * d) // q
-        scaled = (_with_silence([[v * q * q for v in row] for row in u], mix) for u in blocks)
-        u1, u2 = ([[Fraction(v, scale * q * q) for v in row] for row in u] for u in scaled)
+    """The 3x3 game over {C, D, S} whose C/D block equals the classical game.
+
+    Both semantics run the twin rule (module docstring) on the classical
+    game's Fractions: d + w (c - d) under Mixture(w), min or max under Ambiguous.
+    """
+    combine: Callable[[Rat, Rat], Rat]
+    if isinstance(sem, Mixture):
+        combine = lambda c, d: d + sem.w * (c - d)
+    elif isinstance(sem, Ambiguous):
+        combine = min if sem.attitude == "pessimistic" else max
     else:
         raise TypeError(f"semantics must be a Mixture or an Ambiguous, got {type(sem).__name__}")
+    base = classical_pd(params)
+    u1, u2 = (_with_silence(u, combine) for u in (base.u1, base.u2))
     return make_game(GENERALIZED_LABELS, GENERALIZED_LABELS, u1, u2)
 
 

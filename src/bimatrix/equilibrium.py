@@ -2,7 +2,7 @@
 
 Pure equilibria are checked directly against the weak-inequality best-response
 conditions. They, dominance and mixed enumeration read the payoffs scaled to
-integers by the LCM of their denominators (core.integer_payoffs); scaling by
+integers by the LCM of their denominators (_integer_payoffs); scaling by
 one positive integer keeps the order of the values and the solutions of the
 indifference systems, so every answer stays exact.
 
@@ -44,11 +44,12 @@ support: reduced masks map monotonically to the original ones.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from operator import gt, lt
 from typing import Iterator, Literal, Sequence
 
-from .core import Game, MixedProfile, Player, PureProfile, Rat, Record, check_profile, integer_payoffs
+from .core import Game, MixedProfile, Player, PureProfile, Rat, Record, check_profile
 
 Mode = Literal["strict", "weak"]
 IntMatrix = Sequence[Sequence[int]]
@@ -118,12 +119,19 @@ def is_nash(g: Game, p: PureProfile) -> bool:
     return p.i in best_responses(g, 1, p.j) and p.j in best_responses(g, 2, p.i)
 
 
+def _integer_payoffs(g: Game) -> tuple[list[list[int]], list[list[int]]]:
+    """Both matrices times the LCM of all their denominators, which keeps every comparison."""
+    scale = math.lcm(*[v.denominator for u in (g.u1, g.u2) for row in u for v in row])
+    u1, u2 = ([[v.numerator * (scale // v.denominator) for v in row] for row in u] for u in (g.u1, g.u2))
+    return u1, u2
+
+
 def _strict_at(u1: Sequence[Sequence], u2: Sequence[Sequence], i: int, j: int) -> bool:
     """True iff u1[i][j] beats every other payoff in its column of u1 and
     u2[i][j] every other payoff in its row of u2.
 
     That is a strict equilibrium: both best-response sets are singletons. It
-    is exact on Fraction payoffs and on core.integer_payoffs alike.
+    is exact on Fraction payoffs and on _integer_payoffs alike.
     """
     v1, v2 = u1[i][j], u2[i][j]
     return all(row[j] < v1 for k, row in enumerate(u1) if k != i) and all(
@@ -151,7 +159,7 @@ def _pure_profiles(u1: IntMatrix, u2: IntMatrix) -> list[PureProfile]:
 
 def pure_equilibria(g: Game) -> list[PureProfile]:
     """All pure equilibria, in lexicographic (row, column) order, in O(mn)."""
-    _, u1, u2 = integer_payoffs(g)
+    u1, u2 = _integer_payoffs(g)
     return _pure_profiles(u1, u2)
 
 
@@ -172,7 +180,7 @@ def dominance_facts(g: Game, mode: Mode) -> list[DominanceFact]:
     """Every (dominated, dominator) pair per player, ordered by indices."""
     if mode not in ("strict", "weak"):
         raise ValueError("mode must be 'strict' or 'weak'")
-    _, u1, u2 = integer_payoffs(g)
+    u1, u2 = _integer_payoffs(g)
     return [
         DominanceFact(player, a, b, mode)
         for player, a, b, found in _dominance_pairs(u1, u2)
@@ -296,7 +304,7 @@ def _spread(mixture: list[Rat], support: tuple[int, ...], kept: list[int], n: in
 def _enumerate_mixed(u1: IntMatrix, u2: IntMatrix) -> tuple[list[MixedProfile], bool]:
     """All isolated support-enumeration equilibria plus a degeneracy flag.
 
-    u1 and u2 are core.integer_payoffs. Supports are pruned by elimination
+    u1 and u2 are _integer_payoffs. Supports are pruned by elimination
     and exclusion (see the module docstring): every system and off-support
     check runs on the survivors' payoffs, player 2's transposed, since a
     removed strategy can neither be in an equilibrium's support nor beat or
@@ -350,7 +358,7 @@ def mixed_equilibria(g: Game) -> list[MixedProfile]:
     NoEquilibriumFoundError if nothing is found, since that can only mean a
     defect, not an equilibrium-free game.
     """
-    _, u1, u2 = integer_payoffs(g)
+    u1, u2 = _integer_payoffs(g)
     found, _ = _enumerate_mixed(u1, u2)
     return found
 
@@ -363,7 +371,7 @@ def analyze(
     dominance: bool = True,
 ) -> EquilibriumReport:
     """Run the requested analyses and bundle them into a report."""
-    _, u1, u2 = integer_payoffs(g)
+    u1, u2 = _integer_payoffs(g)
     pure_found: tuple[PureProfile, ...] | None = None
     strict_flags: tuple[bool, ...] | None = None
     if pure:

@@ -139,6 +139,8 @@ def _labels_line(cursor: _Cursor, keyword: str, player: int) -> list[str]:
     for index, text in enumerate(tokens[1:], start=1):
         if text in labels:
             raise cursor.error(index, f"duplicate strategy label {text!r} for player {player}")
+        if player == 1 and text.startswith("#"):
+            raise cursor.error(index, f"row label {text!r} starts with '#' and would read as a comment")
         labels.append(text)
     return labels
 
@@ -323,7 +325,7 @@ def _report_record(report: EquilibriumReport) -> dict:
     if report.pure is not None:
         pure = [
             {"row": labels1[p.i], "col": labels2[p.j], "strict": strict}
-            for p, strict in zip(report.pure, report.strict or ())
+            for p, strict in zip(report.pure, report.strict)
         ]
     if report.mixed is not None:
         mixed = [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimatrix.core import MixedProfile, PureProfile, integer_payoffs, make_game
+from bimatrix.core import MixedProfile, PureProfile, make_game
 from bimatrix.dilemma import Ambiguous, Mixture, PdParams, classical_pd, generalized_pd
 from bimatrix import equilibrium
 from bimatrix.equilibrium import (
@@ -557,7 +557,7 @@ class TestEliminationOracle:
 
     @staticmethod
     def check(g):
-        _, u1, u2 = integer_payoffs(g)
+        u1, u2 = equilibrium._integer_payoffs(g)
         assert equilibrium._undominated(u1, u2) == reference_undominated(g)
 
     @settings(deadline=None, max_examples=500)
@@ -660,7 +660,7 @@ class TestDominanceReduction:
         assert dominance_facts(g, "strict") == [
             DominanceFact(1, 2, 0, "strict"), DominanceFact(1, 2, 1, "strict")
         ]
-        _, u1, u2 = integer_payoffs(g)
+        u1, u2 = equilibrium._integer_payoffs(g)
         assert equilibrium._undominated(u1, u2) == ([0, 1], [0, 1])
         half, zero = Fraction(1, 2), Fraction(0)
         expected, tie = reference_support_enumeration(g)
@@ -677,7 +677,7 @@ class TestDominanceReduction:
         assert dominance_facts(g, "strict") == [
             DominanceFact(1, 2, 0, "strict"), DominanceFact(1, 2, 1, "strict")
         ]
-        _, u1, u2 = integer_payoffs(g)
+        u1, u2 = equilibrium._integer_payoffs(g)
         assert equilibrium._undominated(u1, u2) == ([0], [1])
         one, zero = Fraction(1), Fraction(0)
         assert mixed_equilibria(g) == reference_support_enumeration(g)[0] == [
@@ -686,7 +686,7 @@ class TestDominanceReduction:
 
     def test_twelve_by_twelve_solves_one_support_pair(self, monkeypatch):
         g = parse_game(CLAIMS_DOC).game
-        _, u1, u2 = integer_payoffs(g)
+        u1, u2 = equilibrium._integer_payoffs(g)
         assert equilibrium._undominated(u1, u2) == ([0], [0])
         solved = _player1_solves(monkeypatch)
         one, zero = Fraction(1), Fraction(0)

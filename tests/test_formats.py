@@ -156,8 +156,12 @@ class TestParseGame:
             ("game g\ncols x\n", "line 2, column 1: expected 'rows <label> ...'"),
             ("game g\nrows\n", "line 2, column 1: player 1 needs at least one strategy label"),
             ("game g\nrows a\ncols x\n  payoffs a\n", "line 4, column 3: expected 'payoffs' on a line of its own"),
+            (
+                "game g\nrows #a b\ncols x y\npayoffs\n#a : 1 1  0 0\nb : 0 0  1 1\n",
+                "line 2, column 6: row label '#a' starts with '#' and would read as a comment",
+            ),
         ],
-        ids=["rows-keyword", "no-row-labels", "payoffs-line"],
+        ids=["rows-keyword", "no-row-labels", "payoffs-line", "hash-row-label"],
     )
     def test_section_line_errors(self, text, message):
         with pytest.raises(ParseError) as err:
