@@ -55,9 +55,10 @@ class Record:
     fields in that order. A class-level value is its field's default. The
     `__init__` is a straight-line function built from source at class
     creation, as dataclasses builds one, so it keeps a real signature and
-    Python's own argument errors. It sets each field with object.__setattr__
-    and then calls `__post_init__` if the class defines one; that method
-    replaces the fields it normalizes the same way. Any later assignment or
+    Python's own argument errors. It stores each field straight into the
+    instance `__dict__`, which skips the frozen `__setattr__`, and then calls
+    `__post_init__` if the class defines one; that method replaces the
+    fields it normalizes with object.__setattr__. Any later assignment or
     deletion raises FrozenInstanceError. Equality is same class and equal
     field tuples, the hash is the field tuple's, and the repr is
     `Name(field=value, ...)`. Instances keep a `__dict__`, so pickle and copy
@@ -71,11 +72,11 @@ class Record:
         # A default is read from the class when the def runs, so a field
         # without one after a field with one is a SyntaxError, as in a def.
         params = [f"{n}=_cls.{n}" if n in vars(cls) else n for n in names]
-        body = [f"_set(self, {n!r}, {n})" for n in names]
+        body = ["_d = self.__dict__", *(f"_d[{n!r}] = {n}" for n in names)]
         if hasattr(cls, "__post_init__"):
             body.append("self.__post_init__()")
         source = f"def __init__(self, {', '.join(params)}):\n " + "\n ".join(body)
-        namespace: dict = {"_cls": cls, "_set": object.__setattr__}
+        namespace: dict = {"_cls": cls}
         exec(source, namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"

@@ -262,6 +262,8 @@ def sweep_mixture(params: PdParams, steps: int) -> list[SweepRow]:
     solved, and rows with equal outcomes share one equilibria tuple and one
     dominance tuple.
     """
+    if isinstance(steps, bool) or not isinstance(steps, int):
+        raise TypeError(f"steps must be an integer, got {type(steps).__name__}")
     if steps < 1:
         raise ValueError("steps must be at least 1")
 

@@ -14,8 +14,15 @@ exact). Unequal sizes are skipped: one player's system then has more unknowns
 than equations, so it never has the unique solution enumeration keeps. A
 pair of one-strategy supports, a pure profile, needs no system: the
 opponent's weight is 1 and the payoff is the entry, so only the off-support
-check runs, on integers. Intended for small games (at most ~7 strategies per
-side after elimination).
+check runs, on integers. Nor does a pair with twins: two strategies of one
+support that pay alike on the other support, or two strategies of the other
+support that pay the player alike on the first, give the system two equal
+rows or two equal columns, so it is singular and the pair is skipped before
+any Fraction is built. The paper's silence strategy is such a twin of D at
+w = 0 and of C at w = 1. The systems left are solved by Gauss-Jordan
+elimination whose step c divides and updates only columns c..n, since the
+pivot row is zero left of column c. Intended for small games (at most ~7
+strategies per side after elimination).
 
 Strict dominance is decided by one test, `all(map(gt, vb, va))`: strategy b
 pays strictly more than strategy a against every opponent strategy held.
@@ -210,7 +217,12 @@ _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
 def _solve_square(a: list[list[Rat | int]], b: list[Rat]) -> list[Rat] | None:
-    """Gauss-Jordan over Fraction: the solution of square a z = b, or None if a is singular."""
+    """Gauss-Jordan over Fraction: the solution of square a z = b, or None if a is singular.
+
+    Step c divides and updates columns c..n alone: left of column c the
+    pivot row is all zeros, so the other rows would only subtract zeros
+    there.
+    """
     n = len(a)
     aug = [row + [v] for row, v in zip(a, b)]
     for c in range(n):
@@ -218,12 +230,13 @@ def _solve_square(a: list[list[Rat | int]], b: list[Rat]) -> list[Rat] | None:
         if pivot is None:
             return None
         aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = aug[c][c]
-        aug[c] = [v / inv for v in aug[c]]
-        for k in range(n):
-            if k != c and aug[k][c] != 0:
-                factor = aug[k][c]
-                aug[k] = [v - factor * w for v, w in zip(aug[k], aug[c])]
+        row = aug[c]
+        inv = row[c]
+        row[c:] = tail = [v / inv for v in row[c:]]
+        for other in aug:
+            factor = other[c]
+            if factor != 0 and other is not row:
+                other[c:] = [v - factor * w for v, w in zip(other[c:], tail)]
     return [row[n] for row in aug]
 
 
@@ -277,7 +290,10 @@ def _opponent_mixture(
 
     A pair of one-strategy supports needs no system: the opponent's weight
     is 1 and the payoff is the entry u[s][t], so the off-support check
-    compares integers.
+    compares integers. Nor does a pair with twins, two own strategies that
+    pay alike on other_support or two opponent strategies that pay this
+    player alike on own_support: the system then has two equal rows or two
+    equal columns, so it is singular.
     """
     off_support = (row for s, row in enumerate(u) if s not in own_support)
     if len(other_support) == 1:
@@ -285,9 +301,13 @@ def _opponent_mixture(
         value, mixture = u[s][t], [_ONE]
         deviations = [row[t] for row in off_support]
     else:
-        a = [[_MINUS_ONE, *(u[s][t] for t in other_support)] for s in own_support]
-        a.append([_ZERO] + [_ONE] * len(other_support))
-        solution = _solve_square(a, [_ZERO] * len(own_support) + [_ONE])
+        block = [tuple([u[s][t] for t in other_support]) for s in own_support]
+        size = len(block)
+        if len(set(block)) < size or len(set(zip(*block))) < size:
+            return None
+        a = [[_MINUS_ONE, *row] for row in block]
+        a.append([_ZERO] + [_ONE] * size)
+        solution = _solve_square(a, [_ZERO] * size + [_ONE])
         if solution is None or any(p <= 0 for p in solution[1:]):
             return None
         value, *mixture = solution

@@ -520,3 +520,11 @@ class TestSweep:
     def test_step_count_validated(self):
         with pytest.raises(ValueError):
             sweep_mixture(PdParams(), 0)
+
+    @pytest.mark.parametrize(
+        "steps", [True, False, 2.0, Fraction(2), "2"], ids=["True", "False", "float", "Fraction", "str"]
+    )
+    def test_step_count_must_be_an_int(self, steps):
+        # A bool would make rows w = k/True, and a float fails inside Fraction.
+        with pytest.raises(TypeError, match="steps must be an integer"):
+            sweep_mixture(PdParams(), steps)

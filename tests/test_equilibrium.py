@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bimatrix.core import MixedProfile, PureProfile, make_game
@@ -31,6 +31,7 @@ import checker
 from helpers import (
     CLAIMS_DOC,
     G5_DOC,
+    _solve_by_substitution,
     random_game,
     random_rat,
     reference_extreme_equilibria,
@@ -648,6 +649,107 @@ class TestOneStrategySupports:
         for g in games:
             for m in analyze(g).mixed:
                 assert {type(p) for p in (*m.x, *m.y)} == {Fraction}
+
+
+def _indifference_system(block):
+    """The system _opponent_mixture solves for the integer block
+    u[own][other]: a column of -1 for the common payoff, then the int
+    payoffs, and a last row of ones that sums the probabilities to 1."""
+    a = [[equilibrium._MINUS_ONE, *row] for row in block]
+    a.append([equilibrium._ZERO] + [equilibrium._ONE] * len(block))
+    return a, [equilibrium._ZERO] * len(block) + [equilibrium._ONE]
+
+
+def _has_twins(block) -> bool:
+    return len(set(map(tuple, block))) < len(block) or len(set(zip(*block))) < len(block)
+
+
+class TestSolveSquare:
+    """_solve_square against back substitution, which shares no code with it."""
+
+    @settings(deadline=None, max_examples=500)
+    @given(
+        block=st.integers(1, 5).flatmap(
+            lambda k: st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k)
+        )
+    )
+    # Rows that pay alike against the first opponent strategy, so step 1
+    # swaps in the sum row; and twin rows, a singular system.
+    @example(block=[[1, 2], [1, 3]])
+    @example(block=[[1, 2], [1, 2]])
+    def test_matches_substitution_on_indifference_systems(self, block):
+        a, b = _indifference_system(block)
+        before = [list(row) for row in a]
+        expected = _solve_by_substitution([[Fraction(v) for v in row] for row in a], b)
+        solution = equilibrium._solve_square(a, b)
+        assert a == before
+        assert (solution is None) == (expected is None)
+        if solution is not None:
+            assert solution == expected
+            # An int entry left in a row would meet an int pivot and turn
+            # the solution into floats.
+            assert {type(v) for v in solution} == {Fraction}
+
+
+def _twin_systems(monkeypatch):
+    """Per call to _opponent_mixture from now on, whether its support pair
+    has twins, and per system that reaches _solve_square, whether it does."""
+    calls, systems = [], []
+    opponent_mixture, solve_square = equilibrium._opponent_mixture, equilibrium._solve_square
+
+    def mixture_counted(u, own_support, other_support):
+        calls.append(_has_twins([[u[s][t] for t in other_support] for s in own_support]))
+        return opponent_mixture(u, own_support, other_support)
+
+    def solve_counted(a, b):
+        systems.append(_has_twins([row[1:] for row in a[:-1]]))
+        return solve_square(a, b)
+
+    monkeypatch.setattr(equilibrium, "_opponent_mixture", mixture_counted)
+    monkeypatch.setattr(equilibrium, "_solve_square", solve_counted)
+    return calls, systems
+
+
+class TestTwinStrategies:
+    """Two own strategies that pay alike on the opponent's support, or two
+    opponent strategies that pay the player alike on the own support, make
+    the indifference system singular, so no system is built for them."""
+
+    @pytest.mark.parametrize(
+        "u",
+        [[[1, 2, 0], [1, 2, 5], [3, -1, 2]], [[1, 1, 0], [4, 4, 5], [3, -1, 2]]],
+        ids=["equal-rows", "equal-columns"],
+    )
+    def test_twins_solve_no_system(self, monkeypatch, u):
+        block = [row[:2] for row in u[:2]]
+        assert _solve_by_substitution(*_indifference_system(block)) is None
+        sizes = _linear_solves(monkeypatch)
+        assert equilibrium._opponent_mixture(u, (0, 1), (0, 1)) is None
+        assert sizes == []
+        # Supports without twins still reach the system.
+        equilibrium._opponent_mixture(u, (0, 2), (0, 2))
+        assert sizes == [3]
+
+    @pytest.mark.parametrize(
+        ("semantics", "twin_pairs"),
+        [
+            # S is D's twin at w = 0 and under optimism, and the two survive
+            # elimination; at w = 1 and under pessimism only D survives.
+            (Mixture(Fraction(0)), 1),
+            (Mixture(Fraction(1)), 0),
+            (Ambiguous("pessimistic"), 0),
+            (Ambiguous("optimistic"), 1),
+        ],
+        ids=["w=0", "w=1", "pessimistic", "optimistic"],
+    )
+    def test_silence_games_match_reference(self, monkeypatch, semantics, twin_pairs):
+        g = generalized_pd(PdParams(), semantics)
+        expected = reference_support_enumeration(g)
+        calls, systems = _twin_systems(monkeypatch)
+        report = analyze(g)
+        assert (list(report.mixed), report.degenerate) == expected
+        assert calls.count(True) == twin_pairs
+        assert not any(systems)
 
 
 class TestDominanceReduction:
