@@ -215,9 +215,14 @@ def check_profile(g: Game, p: PureProfile) -> None:
         raise IndexError(f"profile ({p.i}, {p.j}) out of range for a {rows}x{cols} game")
 
 
+def check_player(player: object) -> None:
+    """Raise ValueError unless player is 1 or 2; True equals 1 but is refused, as in rat."""
+    if isinstance(player, bool) or player not in (1, 2):
+        raise ValueError("player must be 1 or 2")
+
+
 def payoff(g: Game, player: Player, p: PureProfile) -> Rat:
     """The given player's payoff at a pure profile."""
-    if player not in (1, 2):
-        raise ValueError("player must be 1 or 2")
+    check_player(player)
     check_profile(g, p)
     return g.u1[p.i][p.j] if player == 1 else g.u2[p.i][p.j]

@@ -14,12 +14,17 @@ exact). Unequal sizes are skipped: one player's system then has more unknowns
 than equations, so it never has the unique solution enumeration keeps. A
 pair of one-strategy supports, a pure profile, needs no system: the
 opponent's weight is 1 and the payoff is the entry, so only the off-support
-check runs, on integers. Nor does a pair with twins: two strategies of one
-support that pay alike on the other support, or two strategies of the other
-support that pay the player alike on the first, give the system two equal
-rows or two equal columns, so it is singular and the pair is skipped before
-any Fraction is built. The paper's silence strategy is such a twin of D at
-w = 0 and of C at w = 1. The systems left are solved by Gauss-Jordan
+check runs, on integers. A pair of two-strategy supports, (s, r) against
+(t, v), is decided first by one sign test on the integers: with
+d_t = u[s][t] - u[r][t] and d_v = u[s][v] - u[r][v], indifference asks
+p_t d_t + p_v d_v = 0, which positive p_t and p_v meet only when
+d_t * d_v < 0, so every other pair is skipped before any Fraction is built.
+Larger pairs with twins are skipped as early: two strategies of one support
+that pay alike on the other support, or two strategies of the other support
+that pay the player alike on the first, give the system two equal rows or
+two equal columns, so it is singular. At size 2 twins make d_t = d_v, which
+the sign test already rejects. The paper's silence strategy is such a twin
+of D at w = 0 and of C at w = 1. The systems left are solved by Gauss-Jordan
 elimination whose step c divides and updates only columns c..n, since the
 pivot row is zero left of column c. Intended for small games (at most ~7
 strategies per side after elimination).
@@ -43,7 +48,11 @@ through _dominated, to prune supports in two ways:
   positive weight, so the beaten strategy pays strictly less against the
   opponent's mixture, and the player's own system rejects the pair: with
   the better strategy in the support the two cannot tie, without it that
-  strategy gains off-support. Only found pairs set the flag.
+  strategy gains off-support. Only found pairs set the flag. At size 2
+  the sign test above sharpens this to weak conditional dominance: a pair
+  is skipped when one support strategy pays at least as much as the other
+  on both opponent strategies, since a zero or a shared sign of d_t and d_v
+  rejects it.
 Either way the list, its order and the flag are those of enumerating every
 support: reduced masks map monotonically to the original ones.
 """
@@ -56,7 +65,7 @@ from fractions import Fraction
 from operator import gt, lt
 from typing import Iterator, Literal, Sequence
 
-from .core import Game, MixedProfile, Player, PureProfile, Rat, Record, check_profile
+from .core import Game, MixedProfile, Player, PureProfile, Rat, Record, check_player, check_profile
 
 Mode = Literal["strict", "weak"]
 IntMatrix = Sequence[Sequence[int]]
@@ -105,17 +114,16 @@ class EquilibriumReport(Record):
 
 def best_responses(g: Game, player: Player, opponent_choice: int) -> frozenset[int]:
     """The argmax set of the player's payoffs against a fixed opponent strategy."""
+    check_player(player)
     rows, cols = g.shape
     if player == 1:
         if not 0 <= opponent_choice < cols:
             raise IndexError(f"column {opponent_choice} out of range")
         values = [g.u1[i][opponent_choice] for i in range(rows)]
-    elif player == 2:
+    else:
         if not 0 <= opponent_choice < rows:
             raise IndexError(f"row {opponent_choice} out of range")
         values = [g.u2[opponent_choice][j] for j in range(cols)]
-    else:
-        raise ValueError("player must be 1 or 2")
     best = max(values)
     return frozenset(k for k, v in enumerate(values) if v == best)
 
@@ -197,8 +205,7 @@ def dominance_facts(g: Game, mode: Mode) -> list[DominanceFact]:
 
 def expected_payoff(g: Game, player: Player, m: MixedProfile) -> Rat:
     """Bilinear expected payoff of a mixed profile, exact."""
-    if player not in (1, 2):
-        raise ValueError("player must be 1 or 2")
+    check_player(player)
     rows, cols = g.shape
     if len(m.x) != rows or len(m.y) != cols:
         raise IndexError(
@@ -290,20 +297,29 @@ def _opponent_mixture(
 
     A pair of one-strategy supports needs no system: the opponent's weight
     is 1 and the payoff is the entry u[s][t], so the off-support check
-    compares integers. Nor does a pair with twins, two own strategies that
-    pay alike on other_support or two opponent strategies that pay this
-    player alike on own_support: the system then has two equal rows or two
+    compares integers. A pair of two-strategy supports, (s, r) against
+    (t, v), is rejected by sign unless d_t * d_v < 0, where
+    d_t = u[s][t] - u[r][t] and d_v = u[s][v] - u[r][v]: the weights must
+    meet p_t d_t + p_v d_v = 0, so a zero, or two differences of one sign,
+    leave the system singular or a probability non-positive. From size 3
+    on, a pair with twins, two own strategies that pay alike on
+    other_support or two opponent strategies that pay this player alike on
+    own_support, is rejected: the system then has two equal rows or two
     equal columns, so it is singular.
     """
+    size = len(other_support)
+    if size == 2:
+        (s, r), (t, v) = own_support, other_support
+        if (u[s][t] - u[r][t]) * (u[s][v] - u[r][v]) >= 0:
+            return None
     off_support = (row for s, row in enumerate(u) if s not in own_support)
-    if len(other_support) == 1:
+    if size == 1:
         (s,), (t,) = own_support, other_support
         value, mixture = u[s][t], [_ONE]
         deviations = [row[t] for row in off_support]
     else:
         block = [tuple([u[s][t] for t in other_support]) for s in own_support]
-        size = len(block)
-        if len(set(block)) < size or len(set(zip(*block))) < size:
+        if size > 2 and (len(set(block)) < size or len(set(zip(*block))) < size):
             return None
         a = [[_MINUS_ONE, *row] for row in block]
         a.append([_ZERO] + [_ONE] * size)

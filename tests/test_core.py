@@ -122,6 +122,11 @@ class TestPayoff:
         with pytest.raises(ValueError):
             payoff(classical_pd(), 3, PureProfile(0, 0))  # type: ignore[arg-type]
 
+    def test_bool_player_refused(self):
+        # True == 1, so a membership test alone would read it as player 1.
+        with pytest.raises(ValueError, match="player must be 1 or 2"):
+            payoff(classical_pd(), True, PureProfile(0, 0))  # type: ignore[arg-type]
+
     def test_is_pure_function(self):
         g = classical_pd()
         first = payoff(g, 1, PureProfile(0, 1))

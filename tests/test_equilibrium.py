@@ -83,6 +83,11 @@ class TestBestResponses:
         with pytest.raises(ValueError, match="player must be 1 or 2"):
             best_responses(classical_pd(), 3, 0)  # type: ignore[arg-type]
 
+    def test_bool_player_refused(self):
+        # True == 1, so a membership test alone would read it as player 1.
+        with pytest.raises(ValueError, match="player must be 1 or 2"):
+            best_responses(classical_pd(), True, 0)  # type: ignore[arg-type]
+
     def test_bounds_checked(self):
         with pytest.raises(IndexError):
             best_responses(classical_pd(), 1, 2)
@@ -170,6 +175,11 @@ class TestExpectedPayoff:
         pure = MixedProfile((1, 0), (0, 1))
         with pytest.raises(ValueError, match="player must be 1 or 2"):
             expected_payoff(classical_pd(), 3, pure)  # type: ignore[arg-type]
+
+    def test_bool_player_refused(self):
+        pure = MixedProfile((1, 0), (0, 1))
+        with pytest.raises(ValueError, match="player must be 1 or 2"):
+            expected_payoff(classical_pd(), True, pure)  # type: ignore[arg-type]
 
     def test_degenerate_mixture_equals_pure_payoff(self):
         g = classical_pd()
@@ -726,8 +736,9 @@ class TestTwinStrategies:
         sizes = _linear_solves(monkeypatch)
         assert equilibrium._opponent_mixture(u, (0, 1), (0, 1)) is None
         assert sizes == []
-        # Supports without twins still reach the system.
-        equilibrium._opponent_mixture(u, (0, 2), (0, 2))
+        # Rows 0 and 2 on columns 0 and 1 have no twins and differences of
+        # opposite signs, so they still reach the system.
+        equilibrium._opponent_mixture(u, (0, 2), (0, 1))
         assert sizes == [3]
 
     @pytest.mark.parametrize(
@@ -750,6 +761,50 @@ class TestTwinStrategies:
         assert (list(report.mixed), report.degenerate) == expected
         assert calls.count(True) == twin_pairs
         assert not any(systems)
+
+
+class TestTwoStrategySupports:
+    """A pair of two-strategy supports (s, r) against (t, v) reaches a system
+    only when d_t = u[s][t] - u[r][t] and d_v = u[s][v] - u[r][v] have
+    opposite signs; the sign test on the integers decides every other pair."""
+
+    @settings(deadline=None, max_examples=500)
+    @given(
+        block=st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2), min_size=2, max_size=2),
+        off=st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2), max_size=3),
+    )
+    # Twin rows, twin columns, one zero difference, two of one sign, and
+    # opposite signs with an off-support row that ties.
+    @example(block=[[1, 2], [1, 2]], off=[])
+    @example(block=[[1, 1], [2, 2]], off=[])
+    @example(block=[[1, 2], [1, 0]], off=[])
+    @example(block=[[2, 1], [0, -1]], off=[])
+    @example(block=[[1, -1], [-1, 1]], off=[[0, 0]])
+    def test_matches_substitution(self, block, off):
+        a, b = _indifference_system(block)
+        solution = _solve_by_substitution([[Fraction(v) for v in row] for row in a], b)
+        result = equilibrium._opponent_mixture(block + off, (0, 1), (0, 1))
+        if solution is None or any(p <= 0 for p in solution[1:]):
+            assert result is None
+            return
+        value, *mixture = solution
+        deviations = [sum(p * v for p, v in zip(mixture, row)) for row in off]
+        if any(d > value for d in deviations):
+            assert result is None
+        else:
+            assert result == (mixture, value in deviations)
+
+    def test_one_zero_difference_solves_no_system(self, monkeypatch):
+        # Both rows pay 1 against column 0, so d_t = 0 and d_v = 1: no twins,
+        # and the system has the unique solution p_v = 0, not positive.
+        block = [[1, 3], [1, 2]]
+        assert not _has_twins(block)
+        assert _solve_by_substitution(
+            *_indifference_system([[Fraction(v) for v in row] for row in block])
+        ) == [Fraction(1), Fraction(1), Fraction(0)]
+        sizes = _linear_solves(monkeypatch)
+        assert equilibrium._opponent_mixture(block, (0, 1), (0, 1)) is None
+        assert sizes == []
 
 
 class TestDominanceReduction:
