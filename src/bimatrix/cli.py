@@ -7,9 +7,9 @@ profile), and reduce (drop the silence strategy). Labels may hold commas, so
 verify splits --profile at the first comma that leaves a row label and a
 column label of the game. Reports go to stdout as UTF-8 whatever the locale,
 diagnostics to stderr. Exit codes: 0 success, 1 usage error, 2 game file
-parse error, 3 semantic/validation error (verify given a strategy label the
-game lacks among them), 4 mixed enumeration found no equilibrium (a solver
-defect on some degenerate games).
+that cannot be read or parsed, 3 semantic/validation error (verify given a
+strategy label the game lacks among them), 4 mixed enumeration found no
+equilibrium (a solver defect on some degenerate games).
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on bad usage; this CLI reserves 2 for file parse errors.
+        # argparse exits 2 on bad usage; here 2 means a game file that cannot be read or parsed.
         return EXIT_USAGE if exc.code == 2 else int(exc.code or 0)
     try:
         args.func(args)

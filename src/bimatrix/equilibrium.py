@@ -36,10 +36,10 @@ through _dominated, to prune supports in two ways:
 - Elimination. Supports are drawn only from the strategies that survive
   iterated strict dominance by pure strategies. A removed strategy pays
   strictly less than a survivor against every mixture of surviving opponent
-  strategies, so no equilibrium puts weight on it and it can neither beat
-  nor tie the equilibrium payoff. Systems and off-support checks therefore
-  run on the survivors alone, with the same profiles and degeneracy flag.
-  Weak dominance can lose equilibria and is not used.
+  strategies, so no equilibrium puts weight on it and it pays strictly less
+  than the equilibrium payoff. Systems and off-support checks therefore run
+  on the survivors alone, with the same profiles. Weak dominance can lose
+  equilibria and is not used.
 - Exclusion. A support pair is skipped unsolved when one player's support
   holds a strategy that another surviving strategy of that player beats on
   every strategy of the opponent's support (conditional strict dominance,
@@ -48,13 +48,18 @@ through _dominated, to prune supports in two ways:
   positive weight, so the beaten strategy pays strictly less against the
   opponent's mixture, and the player's own system rejects the pair: with
   the better strategy in the support the two cannot tie, without it that
-  strategy gains off-support. Only found pairs set the flag. At size 2
-  the sign test above sharpens this to weak conditional dominance: a pair
-  is skipped when one support strategy pays at least as much as the other
-  on both opponent strategies, since a zero or a shared sign of d_t and d_v
-  rejects it.
-Either way the list, its order and the flag are those of enumerating every
-support: reduced masks map monotonically to the original ones.
+  strategy gains off-support. At size 2 the sign test above sharpens this
+  to weak conditional dominance: a pair is skipped when one support
+  strategy pays at least as much as the other on both opponent strategies,
+  since a zero or a shared sign of d_t and d_v rejects it.
+Either way the list and its order are those of enumerating every support:
+reduced masks map monotonically to the original ones.
+
+A reported equilibrium is degenerate when a strategy off its support is a
+best reply to the opponent's mixture (von Stengel, Handbook of Game Theory
+vol. 3, 2002). _tied decides this after the search, from each profile and
+the whole game's integer payoffs; a removed strategy pays strictly less, so
+it never ties.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import gt, lt
+from operator import gt, lt, mul
 from typing import Iterator, Literal, Sequence
 
 from .core import Game, MixedProfile, Player, PureProfile, Rat, Record, check_player, check_profile
@@ -93,9 +98,10 @@ class EquilibriumReport(Record):
 
     Sections that were not requested are None; `strict` is parallel to `pure`
     and marks which pure equilibria are strict (unique best responses both
-    ways). `degenerate` is set when some off-support payoff exactly ties the
-    support payoff during mixed enumeration, which signals a possible
-    continuum of equilibria beyond the reported vertices.
+    ways). `degenerate` is set when some reported mixed profile is degenerate:
+    a strategy off its support is a best reply (see the module docstring).
+    That signals a possible continuum of equilibria beyond the reported
+    vertices.
     """
 
     labels1: tuple[str, ...]
@@ -284,28 +290,16 @@ def _undominated(u1: IntMatrix, u2: IntMatrix) -> tuple[list[int], list[int]]:
 
 def _opponent_mixture(
     u: IntMatrix, own_support: tuple[int, ...], other_support: tuple[int, ...]
-) -> tuple[list[Rat], bool] | None:
+) -> list[Rat] | None:
     """The opponent mixture on other_support that makes own_support a best reply.
 
     u is one player's integer payoffs on the survivors, indexed u[own][other];
-    both supports have the same size. The unknowns are the common payoff on
-    own_support and the opponent probabilities. Returns the probabilities, in
-    other_support's order, and whether an off-support survivor ties that
-    payoff; None when the system is singular, a probability is not positive,
-    or an off-support survivor pays more. Removed strategies can neither beat
-    nor tie it, so they are not checked.
-
-    A pair of one-strategy supports needs no system: the opponent's weight
-    is 1 and the payoff is the entry u[s][t], so the off-support check
-    compares integers. A pair of two-strategy supports, (s, r) against
-    (t, v), is rejected by sign unless d_t * d_v < 0, where
-    d_t = u[s][t] - u[r][t] and d_v = u[s][v] - u[r][v]: the weights must
-    meet p_t d_t + p_v d_v = 0, so a zero, or two differences of one sign,
-    leave the system singular or a probability non-positive. From size 3
-    on, a pair with twins, two own strategies that pay alike on
-    other_support or two opponent strategies that pay this player alike on
-    own_support, is rejected: the system then has two equal rows or two
-    equal columns, so it is singular.
+    both supports have the same size. Returns the probabilities, in
+    other_support's order, or None when the indifference system is singular,
+    a probability is not positive, or an off-support survivor pays more.
+    Removed strategies cannot beat the payoff, so they are not checked.
+    Pairs of one or two strategies, and pairs with twins, are decided
+    without a system, as the module docstring says.
     """
     size = len(other_support)
     if size == 2:
@@ -316,7 +310,7 @@ def _opponent_mixture(
     if size == 1:
         (s,), (t,) = own_support, other_support
         value, mixture = u[s][t], [_ONE]
-        deviations = [row[t] for row in off_support]
+        deviations = (row[t] for row in off_support)
     else:
         block = [tuple([u[s][t] for t in other_support]) for s in own_support]
         if size > 2 and (len(set(block)) < size or len(set(zip(*block))) < size):
@@ -327,8 +321,8 @@ def _opponent_mixture(
         if solution is None or any(p <= 0 for p in solution[1:]):
             return None
         value, *mixture = solution
-        deviations = [sum(p * row[t] for t, p in zip(other_support, mixture)) for row in off_support]
-    return None if any(d > value for d in deviations) else (mixture, value in deviations)
+        deviations = (sum(p * row[t] for t, p in zip(other_support, mixture)) for row in off_support)
+    return None if any(d > value for d in deviations) else mixture
 
 
 def _spread(mixture: list[Rat], support: tuple[int, ...], kept: list[int], n: int) -> list[Rat]:
@@ -337,17 +331,17 @@ def _spread(mixture: list[Rat], support: tuple[int, ...], kept: list[int], n: in
     return [weights.get(k, _ZERO) for k in range(n)]
 
 
-def _enumerate_mixed(u1: IntMatrix, u2: IntMatrix) -> tuple[list[MixedProfile], bool]:
-    """All isolated support-enumeration equilibria plus a degeneracy flag.
+def _enumerate_mixed(u1: IntMatrix, u2: IntMatrix) -> list[MixedProfile]:
+    """All isolated support-enumeration equilibria.
 
     u1 and u2 are _integer_payoffs. Supports are pruned by elimination
     and exclusion (see the module docstring): every system and off-support
     check runs on the survivors' payoffs, player 2's transposed, since a
-    removed strategy can neither be in an equilibrium's support nor beat or
-    tie its payoff. Each profile found has exactly the supports it was
-    solved on, so none repeats; it is mapped back to the original indices,
-    and the list comes in (row mask, column mask) order. Raises
-    NoEquilibriumFoundError when nothing is found.
+    removed strategy can neither be in an equilibrium's support nor beat its
+    payoff. Each profile found has exactly the supports it was solved on, so
+    none repeats; it is mapped back to the original indices, and the list
+    comes in (row mask, column mask) order. Raises NoEquilibriumFoundError
+    when nothing is found.
     """
     m, n = len(u1), len(u1[0])
     rows, cols = _undominated(u1, u2)
@@ -356,7 +350,6 @@ def _enumerate_mixed(u1: IntMatrix, u2: IntMatrix) -> tuple[list[MixedProfile], 
     size = min(len(rows), len(cols))
     beaten_rows, beaten_cols = _beaten(v1, size), _beaten(v2, size)
     found: list[MixedProfile] = []
-    degenerate = False
     for mask1 in range(1, 1 << len(rows)):
         if mask1.bit_count() > size:
             continue
@@ -369,34 +362,50 @@ def _enumerate_mixed(u1: IntMatrix, u2: IntMatrix) -> tuple[list[MixedProfile], 
             ):
                 continue
             support2 = _bits(mask2)
-            side1 = _opponent_mixture(v1, support1, support2)
-            if side1 is None:
+            y = _opponent_mixture(v1, support1, support2)
+            if y is None:
                 continue
-            side2 = _opponent_mixture(v2, support2, support1)
-            if side2 is None:
+            x = _opponent_mixture(v2, support2, support1)
+            if x is None:
                 continue
-            (y, tied1), (x, tied2) = side1, side2
             found.append(MixedProfile(_spread(x, support1, rows, m), _spread(y, support2, cols, n)))
-            degenerate = degenerate or tied1 or tied2
     if not found:
         raise NoEquilibriumFoundError(
             "support enumeration found no equilibrium; this is a solver defect"
         )
-    return found, degenerate
+    return found
 
 
 def mixed_equilibria(g: Game) -> list[MixedProfile]:
     """All mixed equilibria found by exact support enumeration.
 
-    Supports are pruned by strict dominance, with the list, its order and
-    the degeneracy flag of enumerating every support (see the module
-    docstring). Pure equilibria appear as degenerate mixtures. Raises
-    NoEquilibriumFoundError if nothing is found, since that can only mean a
-    defect, not an equilibrium-free game.
+    Supports are pruned by strict dominance, with the list and order of
+    enumerating every support (see the module docstring). Pure equilibria
+    appear as point-mass mixtures. Raises NoEquilibriumFoundError if nothing
+    is found, since that can only mean a defect, not an equilibrium-free
+    game.
     """
-    u1, u2 = _integer_payoffs(g)
-    found, _ = _enumerate_mixed(u1, u2)
-    return found
+    return _enumerate_mixed(*_integer_payoffs(g))
+
+
+def _tied(u1: IntMatrix, u2: IntMatrix, m: MixedProfile) -> bool:
+    """True iff a strategy off the equilibrium m's support is a best reply
+    to the opponent's mixture, on the whole game's integer payoffs.
+
+    A pure profile is tied exactly when it is not strict. Otherwise both
+    mixtures are scaled to integers by the LCM of their denominators, which
+    keeps the order of the pure strategies' payoffs against them; the
+    support strategies, `size` for each player, all tie for best, so any
+    further tie is off the support.
+    """
+    size = sum(map(bool, m.x))
+    if size == 1:
+        return not _strict_at(u1, u2, m.x.index(1), m.y.index(1))
+    scale = math.lcm(*[p.denominator for p in (*m.x, *m.y)])
+    x, y = ([p.numerator * (scale // p.denominator) for p in w] for w in (m.x, m.y))
+    pays1 = [sum(map(mul, row, y)) for row in u1]
+    pays2 = [sum(map(mul, column, x)) for column in zip(*u2)]
+    return pays1.count(max(pays1)) > size or pays2.count(max(pays2)) > size
 
 
 def analyze(
@@ -416,8 +425,8 @@ def analyze(
     mixed_found: tuple[MixedProfile, ...] | None = None
     degenerate: bool | None = None
     if mixed:
-        found, degenerate = _enumerate_mixed(u1, u2)
-        mixed_found = tuple(found)
+        mixed_found = tuple(_enumerate_mixed(u1, u2))
+        degenerate = any(_tied(u1, u2, m) for m in mixed_found)
     facts = tuple(DominanceFact(*pair) for pair in _dominance_pairs(u1, u2)) if dominance else None
     return EquilibriumReport(
         labels1=g.labels1,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -459,7 +460,8 @@ def _games_over(draw, values, max_side=4):
 class TestSupportEnumerationOracle:
     """The mixed list, its order and the degenerate flag against
     helpers.reference_support_enumeration, which shares no code with the
-    solver and removes no dominated strategy."""
+    solver and removes no dominated strategy, and the flag against its
+    definition."""
 
     @staticmethod
     def check(g):
@@ -469,7 +471,16 @@ class TestSupportEnumerationOracle:
                 mixed_equilibria(g)
             return
         assert mixed_equilibria(g) == expected
-        assert analyze(g).degenerate is tie
+        report = analyze(g)
+        assert report.degenerate is tie
+        # The definition, scanned on the Fractions: a strategy off some
+        # reported profile's support is a best reply to the other mixture.
+        tied = []
+        for m in report.mixed:
+            for own, other, u in ((m.x, m.y, g.u1), (m.y, m.x, tuple(zip(*g.u2)))):
+                pays = [sum(map(mul, row, other)) for row in u]
+                tied += [p == 0 and v == max(pays) for p, v in zip(own, pays)]
+        assert report.degenerate is any(tied)
 
     @settings(deadline=None, max_examples=300)
     @given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4))
@@ -650,10 +661,13 @@ class TestOneStrategySupports:
         assert sizes == []
 
     def test_pure_support_probabilities_are_fractions(self):
-        # The base case returns the weight as a Fraction, as a solved system does.
-        for u, tied in (([[3, 1], [2, 5]], False), ([[3, 1], [3, 5]], True)):
-            mixture, tie = equilibrium._opponent_mixture(u, (0,), (0,))
-            assert (mixture, tie) == ([1], tied) and type(mixture[0]) is Fraction
+        # The base case returns the weight as a Fraction, as a solved system
+        # does, whether the off-support row pays less or ties; one that pays
+        # more rejects the pair.
+        for u in ([[3, 1], [2, 5]], [[3, 1], [3, 5]]):
+            mixture = equilibrium._opponent_mixture(u, (0,), (0,))
+            assert mixture == [1] and type(mixture[0]) is Fraction
+        assert equilibrium._opponent_mixture([[3, 1], [4, 5]], (0,), (0,)) is None
         games = [classical_pd(), parse_game(CLAIMS_DOC).game, coordination(),
                  _int_game([[1, 1], [1, 0]], [[1, 0], [1, 0]])]
         for g in games:
@@ -789,10 +803,7 @@ class TestTwoStrategySupports:
             return
         value, *mixture = solution
         deviations = [sum(p * v for p, v in zip(mixture, row)) for row in off]
-        if any(d > value for d in deviations):
-            assert result is None
-        else:
-            assert result == (mixture, value in deviations)
+        assert result == (None if any(d > value for d in deviations) else mixture)
 
     def test_one_zero_difference_solves_no_system(self, monkeypatch):
         # Both rows pay 1 against column 0, so d_t = 0 and d_v = 1: no twins,
