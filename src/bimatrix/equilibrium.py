@@ -12,13 +12,14 @@ over Fraction, and solutions are kept only if every support probability is
 strictly positive and no off-support deviation pays more (weak inequality,
 exact). Unequal sizes are skipped: one player's system then has more unknowns
 than equations, so it never has the unique solution enumeration keeps. A
-pair of one-strategy supports, a pure profile, needs no system: the
-opponent's weight is 1 and the payoff is the entry, so only the off-support
-check runs, on integers. A pair of two-strategy supports, (s, r) against
-(t, v), is decided first by one sign test on the integers: with
-d_t = u[s][t] - u[r][t] and d_v = u[s][v] - u[r][v], indifference asks
-p_t d_t + p_v d_v = 0, which positive p_t and p_v meet only when
-d_t * d_v < 0, so every other pair is skipped before any Fraction is built.
+pair of one-strategy supports, a pure profile, needs no system and no check
+of its own: the exclusion below keeps it exactly when it is a pure
+equilibrium, and it is reported as point masses. A pair of two-strategy
+supports, (s, r) against (t, v), is decided first by one sign test on the
+integers: with d_t = u[s][t] - u[r][t] and d_v = u[s][v] - u[r][v],
+indifference asks p_t d_t + p_v d_v = 0, which positive p_t and p_v meet
+only when d_t * d_v < 0, so every other pair is skipped before any Fraction
+is built.
 Larger pairs with twins are skipped as early: two strategies of one support
 that pay alike on the other support, or two strategies of the other support
 that pay the player alike on the first, give the system two equal rows or
@@ -48,10 +49,13 @@ through _dominated, to prune supports in two ways:
   positive weight, so the beaten strategy pays strictly less against the
   opponent's mixture, and the player's own system rejects the pair: with
   the better strategy in the support the two cannot tie, without it that
-  strategy gains off-support. At size 2 the sign test above sharpens this
-  to weak conditional dominance: a pair is skipped when one support
-  strategy pays at least as much as the other on both opponent strategies,
-  since a zero or a shared sign of d_t and d_v rejects it.
+  strategy gains off-support. At size 1 the tables are the whole test:
+  against the opponent's one strategy t, a strategy is beaten exactly when
+  another survivor pays more at t, which is the off-support check. At size 2
+  the sign test above sharpens this to weak conditional dominance: a pair is
+  skipped when one support strategy pays at least as much as the other on
+  both opponent strategies, since a zero or a shared sign of d_t and d_v
+  rejects it.
 Either way the list and its order are those of enumerating every support:
 reduced masks map monotonically to the original ones.
 
@@ -298,30 +302,28 @@ def _opponent_mixture(
     other_support's order, or None when the indifference system is singular,
     a probability is not positive, or an off-support survivor pays more.
     Removed strategies cannot beat the payoff, so they are not checked.
-    Pairs of one or two strategies, and pairs with twins, are decided
-    without a system, as the module docstring says.
+    Pairs of two strategies, and pairs with twins, are decided without a
+    system, as the module docstring says. The search does not call it on
+    one-strategy supports, though its system answers them too: a pair that
+    exclusion keeps is a pure equilibrium, reported as point masses without
+    a system.
     """
     size = len(other_support)
     if size == 2:
         (s, r), (t, v) = own_support, other_support
         if (u[s][t] - u[r][t]) * (u[s][v] - u[r][v]) >= 0:
             return None
+    block = [tuple([u[s][t] for t in other_support]) for s in own_support]
+    if size > 2 and (len(set(block)) < size or len(set(zip(*block))) < size):
+        return None
+    a = [[_MINUS_ONE, *row] for row in block]
+    a.append([_ZERO] + [_ONE] * size)
+    solution = _solve_square(a, [_ZERO] * size + [_ONE])
+    if solution is None or any(p <= 0 for p in solution[1:]):
+        return None
+    value, *mixture = solution
     off_support = (row for s, row in enumerate(u) if s not in own_support)
-    if size == 1:
-        (s,), (t,) = own_support, other_support
-        value, mixture = u[s][t], [_ONE]
-        deviations = (row[t] for row in off_support)
-    else:
-        block = [tuple([u[s][t] for t in other_support]) for s in own_support]
-        if size > 2 and (len(set(block)) < size or len(set(zip(*block))) < size):
-            return None
-        a = [[_MINUS_ONE, *row] for row in block]
-        a.append([_ZERO] + [_ONE] * size)
-        solution = _solve_square(a, [_ZERO] * size + [_ONE])
-        if solution is None or any(p <= 0 for p in solution[1:]):
-            return None
-        value, *mixture = solution
-        deviations = (sum(p * row[t] for t, p in zip(other_support, mixture)) for row in off_support)
+    deviations = (sum(p * row[t] for t, p in zip(other_support, mixture)) for row in off_support)
     return None if any(d > value for d in deviations) else mixture
 
 
@@ -338,10 +340,11 @@ def _enumerate_mixed(u1: IntMatrix, u2: IntMatrix) -> list[MixedProfile]:
     and exclusion (see the module docstring): every system and off-support
     check runs on the survivors' payoffs, player 2's transposed, since a
     removed strategy can neither be in an equilibrium's support nor beat its
-    payoff. Each profile found has exactly the supports it was solved on, so
-    none repeats; it is mapped back to the original indices, and the list
-    comes in (row mask, column mask) order. Raises NoEquilibriumFoundError
-    when nothing is found.
+    payoff. A pair of one-strategy supports that exclusion keeps is a pure
+    equilibrium, reported as point masses without a system. Each profile
+    found has exactly the supports it was solved on, so none repeats; it is
+    mapped back to the original indices, and the list comes in (row mask,
+    column mask) order. Raises NoEquilibriumFoundError when nothing is found.
     """
     m, n = len(u1), len(u1[0])
     rows, cols = _undominated(u1, u2)
@@ -362,11 +365,11 @@ def _enumerate_mixed(u1: IntMatrix, u2: IntMatrix) -> list[MixedProfile]:
             ):
                 continue
             support2 = _bits(mask2)
-            y = _opponent_mixture(v1, support1, support2)
-            if y is None:
+            if len(support1) == 1:
+                x = y = [_ONE]
+            elif (y := _opponent_mixture(v1, support1, support2)) is None:
                 continue
-            x = _opponent_mixture(v2, support2, support1)
-            if x is None:
+            elif (x := _opponent_mixture(v2, support2, support1)) is None:
                 continue
             found.append(MixedProfile(_spread(x, support1, rows, m), _spread(y, support2, cols, n)))
     if not found:

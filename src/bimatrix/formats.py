@@ -44,7 +44,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Sequence, TypeVar
 
-from .core import Game, Rat, Record, as_rat, make_game
+from .core import Game, InvalidGameError, Rat, Record, as_rat, make_game, validate_game
 from .dilemma import SweepRow
 from .equilibrium import DominanceFact, EquilibriumReport
 
@@ -100,20 +100,37 @@ def _column(raw: str, index: int) -> int:
     return [m.start() for m in _TOKEN_RE.finditer(raw)][index] + 1
 
 
+def _lone_surrogate_at(text: str) -> int:
+    """Index of the first lone surrogate in text, or -1.
+
+    errors="surrogateescape" decodes each byte that is not UTF-8 to one, and
+    only lone surrogates make encoding to UTF-8 fail.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return exc.start
+    return -1
+
+
 class _Cursor:
     """The significant lines of a document, each split into tokens once.
 
-    Comment and blank lines are skipped. A ParseError points at a token by its
-    index, and its column is found in the raw line only then.
+    Comment and blank lines are skipped; a lone surrogate on any line raises
+    a ParseError at once. A later ParseError points at a token by its index,
+    and its column is found in the raw line only then.
     """
 
     def __init__(self, text: str):
         raws = text.splitlines()
-        self.lines = [
-            (number, raw, tokens)
-            for number, raw in enumerate(raws, start=1)
-            if (tokens := raw.split()) and not tokens[0].startswith("#")
-        ]
+        self.lines = []
+        for number, raw in enumerate(raws, start=1):
+            if (index := _lone_surrogate_at(raw)) >= 0:
+                raise ParseError(
+                    number, index + 1, f"undecodable character {raw[index]!r}: game files are UTF-8 text"
+                )
+            if (tokens := raw.split()) and not tokens[0].startswith("#"):
+                self.lines.append((number, raw, tokens))
         self.pos = 0
         self.end_line = len(raws) + 1
 
@@ -145,31 +162,13 @@ def _labels_line(cursor: _Cursor, keyword: str, player: int) -> list[str]:
     return labels
 
 
-def _lone_surrogate_at(text: str) -> int:
-    """Index of the first lone surrogate in text, or -1.
-
-    errors="surrogateescape" decodes each byte that is not UTF-8 to one, and
-    only lone surrogates make encoding to UTF-8 fail.
-    """
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        return exc.start
-    return -1
-
-
 def parse_game(text: str) -> GameDocument:
     """Parse a game document; raises ParseError with line/column on failure.
 
-    Lone surrogates (undecodable bytes) are rejected wherever they appear.
+    Lone surrogates (undecodable bytes) are rejected wherever they appear,
+    comment lines included: _Cursor finds them in its one pass over the
+    lines, before any other check runs.
     """
-    if _lone_surrogate_at(text) >= 0:
-        for number, raw in enumerate(text.splitlines(), start=1):
-            if (index := _lone_surrogate_at(raw)) >= 0:
-                raise ParseError(
-                    number, index + 1,
-                    f"undecodable character {raw[index]!r}: game files are UTF-8 text",
-                )
     cursor = _Cursor(text)
 
     tokens = cursor.next_line("'game <name>' header")
@@ -219,17 +218,21 @@ def parse_game(text: str) -> GameDocument:
 
 
 def _check_token(kind: str, text: str) -> None:
-    if not _TOKEN_RE.fullmatch(text) or _lone_surrogate_at(text) >= 0:
+    if not isinstance(text, str) or not _TOKEN_RE.fullmatch(text) or _lone_surrogate_at(text) >= 0:
         raise ValueError(f"{kind} {text!r} must be one token without whitespace or lone surrogates")
 
 
 def serialize_game(g: Game, name: str) -> str:
     """Canonical document text for a game; parse_game inverts this exactly.
 
-    Raises ValueError for a name or label that would not read back as itself:
-    one that is not a single whitespace-free token of valid text, or a row
-    label starting with '#', which would make its payoff row a comment.
+    Raises InvalidGameError, a ValueError, for a game that validate_game
+    rejects (a Game built without make_game can be one). Raises ValueError
+    for a name or label that would not read back as itself: one that is not
+    a single whitespace-free token of valid text, or a row label starting
+    with '#', which would make its payoff row a comment.
     """
+    if problems := validate_game(g):
+        raise InvalidGameError("; ".join(problems))
     _check_token("game name", name)
     for label in g.labels1:
         _check_token("row label", label)

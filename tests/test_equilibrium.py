@@ -598,7 +598,8 @@ class TestEliminationOracle:
 
 def _player1_solves(monkeypatch):
     """The (own, other) supports, as positions among the survivors of
-    elimination, of every player-1 system solved from now on.
+    elimination, of every player-1 call to _opponent_mixture from now on;
+    pairs of one-strategy supports make none.
 
     Player 2's system is solved only right after player 1's found a mixture,
     so a call is player 1's unless the previous one was and succeeded.
@@ -635,8 +636,9 @@ def _linear_solves(monkeypatch):
 
 
 class TestOneStrategySupports:
-    """A pair of one-strategy supports is decided without a linear system:
-    the opponent's weight is 1 and the payoff is the entry."""
+    """A pair of one-strategy supports that exclusion keeps is a pure
+    equilibrium: no surviving strategy pays more against the other one. It is
+    reported as point masses without a call to _opponent_mixture."""
 
     @pytest.mark.parametrize(
         "build", [classical_pd, lambda: parse_game(CLAIMS_DOC).game], ids=["pd", "claims"]
@@ -644,8 +646,9 @@ class TestOneStrategySupports:
     def test_pure_games_solve_no_system(self, monkeypatch, build):
         g = build()
         sizes = _linear_solves(monkeypatch)
+        solved = _player1_solves(monkeypatch)
         report = analyze(g)
-        assert sizes == []
+        assert sizes == solved == []
         assert [checker.mixed_problems(g.u1, g.u2, m.x, m.y) for m in report.mixed] == [[]]
 
     def test_off_support_tie_at_a_pure_profile_sets_degenerate(self, monkeypatch):
@@ -860,23 +863,27 @@ class TestDominanceReduction:
         one, zero = Fraction(1), Fraction(0)
         corner = (one,) + (zero,) * 11
         assert analyze(g).mixed == (MixedProfile(corner, corner),)
-        # Without the reduction this is C(24, 12) - 1 = 2,704,155 pairs.
-        assert solved == [((0,), (0,))]
+        # Without the reduction this is C(24, 12) - 1 = 2,704,155 pairs. The
+        # one pair left, ((0,), (0,)), is kept by exclusion and reported as
+        # a pure profile without a call to _opponent_mixture.
+        assert solved == []
 
     def test_five_by_five_solves_sixty_seven_systems(self, monkeypatch):
         # Nothing is strictly dominated (the g5 row of the solve goldens in
         # test_cli checks it), so only the exclusion of supports holding a
         # conditionally dominated strategy bounds the work: 67 of the
-        # C(10, 5) - 1 = 251 equal-size support pairs are solved.
+        # C(10, 5) - 1 = 251 equal-size support pairs are kept.
         g = parse_game(G5_DOC).game
         solved = _player1_solves(monkeypatch)
         sizes = _linear_solves(monkeypatch)
-        assert len(analyze(g).mixed) == 7
-        assert len(solved) == 67
-        # One of them, a pure profile, is decided without a system. The
-        # other 66 and the 23 player-2 systems that follow a player-1
-        # mixture reach _solve_square, each on a support of two or more.
-        assert sum(len(own) > 1 for own, _ in solved) == 66
+        report = analyze(g)
+        assert len(report.mixed) == 7
+        # One of them is a pair of one-strategy supports, reported as a pure
+        # profile without a call. The other 66 and the 23 player-2 systems
+        # that follow a player-1 mixture reach _solve_square, each on a
+        # support of two or more.
+        assert sum(1 in m.x for m in report.mixed) == len(report.pure) == 1
+        assert len(solved) == 66 and min(len(own) for own, _ in solved) == 2
         assert len(sizes) == 89 and min(sizes) == 3
 
     def test_rock_paper_scissors_skips_conditionally_dominated_supports(self, monkeypatch):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from bimatrix.core import make_game
+from bimatrix.core import Game, InvalidGameError, make_game
 from bimatrix.dilemma import Mixture, PdParams, SweepRow, classical_pd, generalized_pd, sweep_mixture
 from bimatrix.equilibrium import DominanceFact, NoEquilibriumFoundError, analyze
 from bimatrix.formats import (
@@ -217,6 +217,29 @@ class TestParseGame:
         assert err.value.column == line.rindex(offender) + 1
 
 
+# Names and labels for games built without make_game: valid tokens, and ones
+# that are empty, hold whitespace or a lone surrogate, start with '#' or are
+# not strings. Drawing from a few valid ones gives duplicates.
+_LOOSE_TOKENS = st.sampled_from(["a", "b", "c"]) | st.sampled_from(["#c", "d e", "", "\udcff", "\x1c", 7])
+# Half the label lists are valid, so that some drawn games are written.
+_LOOSE_LABELS = st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True) | st.lists(
+    _LOOSE_TOKENS, max_size=3
+)
+
+
+@st.composite
+def _loose_games(draw):
+    """A Game built without make_game, whose payoff rows are mostly as long
+    as its column labels, sometimes one longer or shorter."""
+    labels1, labels2 = draw(_LOOSE_LABELS), draw(_LOOSE_LABELS)
+    n = len(labels2)
+    row = st.sampled_from([n] * 8 + [n + 1, max(n - 1, 0)]).flatmap(
+        lambda k: st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    )
+    matrix = st.lists(row, min_size=len(labels1), max_size=len(labels1))
+    return Game(labels1, labels2, draw(matrix), draw(matrix))
+
+
 class TestSerializeGame:
     def test_classical_document_is_canonical(self):
         assert serialize_game(classical_pd(), "classical_pd") == CLASSICAL_DOC
@@ -255,6 +278,29 @@ class TestSerializeGame:
         g = make_game(labels1, labels2, zeros, zeros)
         with pytest.raises(ValueError, match=re.escape(repr(offender))):
             serialize_game(g, name)
+
+    @pytest.mark.parametrize(
+        "g,problem",
+        [
+            (Game(["a", "a"], ["x"], [[0], [0]], [[0], [0]]), "player 1 has duplicate strategy label 'a'"),
+            (Game(["a"], ["x"], [[0, 1]], [[0]]), "u1 row 0 has 2 entries, expected 1"),
+            (Game([], [], [], []), "player 1 has no strategies; player 2 has no strategies"),
+            (Game(["a"], [1], [[0]], [[0]]), "player 2 has a strategy label that is not a string: 1"),
+        ],
+        ids=["duplicate-labels", "long-row", "no-strategies", "int-label"],
+    )
+    def test_invalid_games_rejected(self, g, problem):
+        with pytest.raises(InvalidGameError, match=re.escape(problem)):
+            serialize_game(g, "g")
+
+    @settings(deadline=None)
+    @given(g=_loose_games(), name=_LOOSE_TOKENS)
+    def test_writes_only_what_reads_back(self, g, name):
+        try:
+            text = serialize_game(g, name)
+        except ValueError:
+            return
+        assert parse_game(text) == GameDocument(name, g)
 
     def test_hash_inside_or_column_labels_still_round_trip(self):
         g = make_game(["r#", "s"], ["#x", "y"], [[1, 2], [3, 4]], [[5, 6], [7, 8]])
