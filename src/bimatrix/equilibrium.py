@@ -25,10 +25,13 @@ that pay alike on the other support, or two strategies of the other support
 that pay the player alike on the first, give the system two equal rows or
 two equal columns, so it is singular. At size 2 twins make d_t = d_v, which
 the sign test already rejects. The paper's silence strategy is such a twin
-of D at w = 0 and of C at w = 1. The systems left are solved by Gauss-Jordan
-elimination whose step c divides and updates only columns c..n, since the
-pivot row is zero left of column c. Intended for small games (at most ~7
-strategies per side after elimination).
+of D at w = 0 and of C at w = 1. Both tests live in _ruled_out, and both
+players' integer tests run before either player's system is built, so a
+pair that player 2's integers rule out builds no Fraction for player 1
+either. The systems left are solved by Gauss-Jordan elimination whose step
+c divides and updates only columns c..n, since the pivot row is zero left
+of column c. Intended for small games (at most ~7 strategies per side after
+elimination).
 
 Strict dominance is decided by one test, `all(map(gt, vb, va))`: strategy b
 pays strictly more than strategy a against every opponent strategy held.
@@ -292,30 +295,48 @@ def _undominated(u1: IntMatrix, u2: IntMatrix) -> tuple[list[int], list[int]]:
         rows, cols = kept_rows, kept_cols
 
 
+def _block(u: IntMatrix, own: tuple[int, ...], other: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """u[own][other] on a support pair, one tuple per own strategy."""
+    return [tuple([u[s][t] for t in other]) for s in own]
+
+
+def _ruled_out(block: Sequence[tuple[int, ...]]) -> bool:
+    """True when the integers alone show that no positive mixture of the
+    opponent's support makes the own support a best reply.
+
+    block is one player's integer payoffs u[own][other] on a support pair,
+    one tuple per own strategy. At size 2 the sign test decides, and above
+    it twin rows or twin columns make the indifference system singular (see
+    the module docstring). A block it keeps may still fail its system.
+    """
+    size = len(block)
+    if size == 2:
+        (s_t, s_v), (r_t, r_v) = block
+        return (s_t - r_t) * (s_v - r_v) >= 0
+    return len(set(block)) < size or len(set(zip(*block))) < size
+
+
 def _opponent_mixture(
-    u: IntMatrix, own_support: tuple[int, ...], other_support: tuple[int, ...]
+    u: IntMatrix,
+    own_support: tuple[int, ...],
+    other_support: tuple[int, ...],
+    block: Sequence[tuple[int, ...]],
 ) -> list[Rat] | None:
     """The opponent mixture on other_support that makes own_support a best reply.
 
     u is one player's integer payoffs on the survivors, indexed u[own][other];
-    both supports have the same size. Returns the probabilities, in
-    other_support's order, or None when the indifference system is singular,
-    a probability is not positive, or an off-support survivor pays more.
-    Removed strategies cannot beat the payoff, so they are not checked.
-    Pairs of two strategies, and pairs with twins, are decided without a
-    system, as the module docstring says. The search does not call it on
-    one-strategy supports, though its system answers them too: a pair that
-    exclusion keeps is a pure equilibrium, reported as point masses without
-    a system.
+    both supports have the same size, and block is u[own][other] on them.
+    The search builds the block once and passes both players' blocks
+    through _ruled_out before it builds either system, so only the system
+    is solved and checked here. Returns the probabilities, in
+    other_support's order, or None when the indifference system is
+    singular, a probability is not positive, or an off-support survivor
+    pays more. Removed strategies cannot beat the payoff, so they are not
+    checked. The search does not call it on one-strategy supports, though
+    its system answers them too: a pair that exclusion keeps is a pure
+    equilibrium, reported as point masses without a system.
     """
-    size = len(other_support)
-    if size == 2:
-        (s, r), (t, v) = own_support, other_support
-        if (u[s][t] - u[r][t]) * (u[s][v] - u[r][v]) >= 0:
-            return None
-    block = [tuple([u[s][t] for t in other_support]) for s in own_support]
-    if size > 2 and (len(set(block)) < size or len(set(zip(*block))) < size):
-        return None
+    size = len(block)
     a = [[_MINUS_ONE, *row] for row in block]
     a.append([_ZERO] + [_ONE] * size)
     solution = _solve_square(a, [_ZERO] * size + [_ONE])
@@ -341,10 +362,13 @@ def _enumerate_mixed(u1: IntMatrix, u2: IntMatrix) -> list[MixedProfile]:
     check runs on the survivors' payoffs, player 2's transposed, since a
     removed strategy can neither be in an equilibrium's support nor beat its
     payoff. A pair of one-strategy supports that exclusion keeps is a pure
-    equilibrium, reported as point masses without a system. Each profile
-    found has exactly the supports it was solved on, so none repeats; it is
-    mapped back to the original indices, and the list comes in (row mask,
-    column mask) order. Raises NoEquilibriumFoundError when nothing is found.
+    equilibrium, reported as point masses without a system. A larger pair
+    builds each player's integer block once, player 2's only if player 1's
+    passes _ruled_out, and both players' integer tests run before either
+    system is built. Each profile found has exactly the supports it was
+    solved on, so none repeats; it is mapped back to the original indices,
+    and the list comes in (row mask, column mask) order. Raises
+    NoEquilibriumFoundError when nothing is found.
     """
     m, n = len(u1), len(u1[0])
     rows, cols = _undominated(u1, u2)
@@ -367,9 +391,12 @@ def _enumerate_mixed(u1: IntMatrix, u2: IntMatrix) -> list[MixedProfile]:
             support2 = _bits(mask2)
             if len(support1) == 1:
                 x = y = [_ONE]
-            elif (y := _opponent_mixture(v1, support1, support2)) is None:
-                continue
-            elif (x := _opponent_mixture(v2, support2, support1)) is None:
+            elif (
+                _ruled_out(block1 := _block(v1, support1, support2))
+                or _ruled_out(block2 := _block(v2, support2, support1))
+                or (y := _opponent_mixture(v1, support1, support2, block1)) is None
+                or (x := _opponent_mixture(v2, support2, support1, block2)) is None
+            ):
                 continue
             found.append(MixedProfile(_spread(x, support1, rows, m), _spread(y, support2, cols, n)))
     if not found:

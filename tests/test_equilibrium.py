@@ -599,7 +599,8 @@ class TestEliminationOracle:
 def _player1_solves(monkeypatch):
     """The (own, other) supports, as positions among the survivors of
     elimination, of every player-1 call to _opponent_mixture from now on;
-    pairs of one-strategy supports make none.
+    pairs of one-strategy supports make none, and neither do pairs that
+    either player's integers rule out.
 
     Player 2's system is solved only right after player 1's found a mixture,
     so a call is player 1's unless the previous one was and succeeded.
@@ -608,9 +609,9 @@ def _player1_solves(monkeypatch):
     original = equilibrium._opponent_mixture
     player2_next = False
 
-    def counted(u, own_support, other_support):
+    def counted(u, own_support, other_support, block):
         nonlocal player2_next
-        result = original(u, own_support, other_support)
+        result = original(u, own_support, other_support, block)
         if player2_next:
             player2_next = False
         else:
@@ -668,9 +669,9 @@ class TestOneStrategySupports:
         # does, whether the off-support row pays less or ties; one that pays
         # more rejects the pair.
         for u in ([[3, 1], [2, 5]], [[3, 1], [3, 5]]):
-            mixture = equilibrium._opponent_mixture(u, (0,), (0,))
+            mixture = equilibrium._opponent_mixture(u, (0,), (0,), [(3,)])
             assert mixture == [1] and type(mixture[0]) is Fraction
-        assert equilibrium._opponent_mixture([[3, 1], [4, 5]], (0,), (0,)) is None
+        assert equilibrium._opponent_mixture([[3, 1], [4, 5]], (0,), (0,), [(3,)]) is None
         games = [classical_pd(), parse_game(CLAIMS_DOC).game, coordination(),
                  _int_game([[1, 1], [1, 0]], [[1, 0], [1, 0]])]
         for g in games:
@@ -719,20 +720,20 @@ class TestSolveSquare:
 
 
 def _twin_systems(monkeypatch):
-    """Per call to _opponent_mixture from now on, whether its support pair
-    has twins, and per system that reaches _solve_square, whether it does."""
+    """Per block that reaches _ruled_out from now on, whether it has twins,
+    and per system that reaches _solve_square, whether it does."""
     calls, systems = [], []
-    opponent_mixture, solve_square = equilibrium._opponent_mixture, equilibrium._solve_square
+    ruled_out, solve_square = equilibrium._ruled_out, equilibrium._solve_square
 
-    def mixture_counted(u, own_support, other_support):
-        calls.append(_has_twins([[u[s][t] for t in other_support] for s in own_support]))
-        return opponent_mixture(u, own_support, other_support)
+    def ruled_out_counted(block):
+        calls.append(_has_twins(block))
+        return ruled_out(block)
 
     def solve_counted(a, b):
         systems.append(_has_twins([row[1:] for row in a[:-1]]))
         return solve_square(a, b)
 
-    monkeypatch.setattr(equilibrium, "_opponent_mixture", mixture_counted)
+    monkeypatch.setattr(equilibrium, "_ruled_out", ruled_out_counted)
     monkeypatch.setattr(equilibrium, "_solve_square", solve_counted)
     return calls, systems
 
@@ -740,7 +741,8 @@ def _twin_systems(monkeypatch):
 class TestTwinStrategies:
     """Two own strategies that pay alike on the opponent's support, or two
     opponent strategies that pay the player alike on the own support, make
-    the indifference system singular, so no system is built for them."""
+    the indifference system singular, so _ruled_out rejects the block and
+    no system is built for it."""
 
     @pytest.mark.parametrize(
         "u",
@@ -748,14 +750,16 @@ class TestTwinStrategies:
         ids=["equal-rows", "equal-columns"],
     )
     def test_twins_solve_no_system(self, monkeypatch, u):
-        block = [row[:2] for row in u[:2]]
+        block = equilibrium._block(u, (0, 1), (0, 1))
         assert _solve_by_substitution(*_indifference_system(block)) is None
         sizes = _linear_solves(monkeypatch)
-        assert equilibrium._opponent_mixture(u, (0, 1), (0, 1)) is None
-        assert sizes == []
+        assert equilibrium._ruled_out(block)
         # Rows 0 and 2 on columns 0 and 1 have no twins and differences of
         # opposite signs, so they still reach the system.
-        equilibrium._opponent_mixture(u, (0, 2), (0, 1))
+        block = equilibrium._block(u, (0, 2), (0, 1))
+        assert not equilibrium._ruled_out(block)
+        assert sizes == []
+        equilibrium._opponent_mixture(u, (0, 2), (0, 1), block)
         assert sizes == [3]
 
     @pytest.mark.parametrize(
@@ -776,6 +780,7 @@ class TestTwinStrategies:
         calls, systems = _twin_systems(monkeypatch)
         report = analyze(g)
         assert (list(report.mixed), report.degenerate) == expected
+        # Player 1's block is ruled out first, so player 2's is never built.
         assert calls.count(True) == twin_pairs
         assert not any(systems)
 
@@ -783,7 +788,8 @@ class TestTwinStrategies:
 class TestTwoStrategySupports:
     """A pair of two-strategy supports (s, r) against (t, v) reaches a system
     only when d_t = u[s][t] - u[r][t] and d_v = u[s][v] - u[r][v] have
-    opposite signs; the sign test on the integers decides every other pair."""
+    opposite signs; _ruled_out's sign test on the integers decides every
+    other pair."""
 
     @settings(deadline=None, max_examples=500)
     @given(
@@ -800,7 +806,11 @@ class TestTwoStrategySupports:
     def test_matches_substitution(self, block, off):
         a, b = _indifference_system(block)
         solution = _solve_by_substitution([[Fraction(v) for v in row] for row in a], b)
-        result = equilibrium._opponent_mixture(block + off, (0, 1), (0, 1))
+        u = block + off
+        block = equilibrium._block(u, (0, 1), (0, 1))
+        result = None
+        if not equilibrium._ruled_out(block):
+            result = equilibrium._opponent_mixture(u, (0, 1), (0, 1), block)
         if solution is None or any(p <= 0 for p in solution[1:]):
             assert result is None
             return
@@ -817,8 +827,49 @@ class TestTwoStrategySupports:
             *_indifference_system([[Fraction(v) for v in row] for row in block])
         ) == [Fraction(1), Fraction(1), Fraction(0)]
         sizes = _linear_solves(monkeypatch)
-        assert equilibrium._opponent_mixture(block, (0, 1), (0, 1)) is None
+        assert equilibrium._ruled_out(equilibrium._block(block, (0, 1), (0, 1)))
         assert sizes == []
+
+
+class TestRuledOut:
+    """_ruled_out decides a support pair on one player's integers, and the
+    search asks it for both players before it solves either system."""
+
+    @settings(deadline=None, max_examples=500)
+    @given(
+        block=st.integers(2, 4).flatmap(
+            lambda k: st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k), min_size=k, max_size=k)
+        )
+    )
+    # Twin rows and twin columns at size 3.
+    @example(block=[[1, 2, 0], [1, 2, 0], [2, -1, 1]])
+    @example(block=[[1, 1, 0], [-2, -2, 1], [2, 2, -1]])
+    def test_sound(self, block):
+        """A block it rules out has no positive solution, and every block
+        with twins is ruled out."""
+        block = [tuple(row) for row in block]
+        if not equilibrium._ruled_out(block):
+            assert not _has_twins(block)
+            return
+        a, b = _indifference_system(block)
+        solution = _solve_by_substitution([[Fraction(v) for v in row] for row in a], b)
+        assert solution is None or any(p <= 0 for p in solution[1:])
+
+    def test_player2_integers_spare_player1_system(self, monkeypatch):
+        # Player 1's differences on the full supports are 1 and -1, so the
+        # sign test passes; player 2's are 0 and -3, so it rejects the pair.
+        # No column is strictly dominated, so elimination keeps both.
+        g = _int_game([[1, 0], [0, 1]], [[1, 1], [0, 3]])
+        u1, u2 = equilibrium._integer_payoffs(g)
+        assert equilibrium._undominated(u1, u2) == ([0, 1], [0, 1])
+        sizes = _linear_solves(monkeypatch)
+        report = analyze(g)
+        assert sizes == []
+        one, zero = Fraction(1), Fraction(0)
+        expected = [MixedProfile((one, zero), (one, zero)), MixedProfile((zero, one), (zero, one))]
+        assert reference_support_enumeration(g) == (expected, True)
+        assert (list(report.mixed), report.degenerate) == (expected, True)
+        assert report.pure == (PureProfile(0, 0), PureProfile(1, 1))
 
 
 class TestDominanceReduction:
