@@ -18,6 +18,7 @@ pay.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Literal, Sequence
@@ -115,7 +116,13 @@ class PureProfile(Record):
 
 
 class MixedProfile(Record):
-    """A pair of exact probability vectors over the two strategy sets."""
+    """A pair of exact probability vectors over the two strategy sets.
+
+    Each vector is checked on integers: it is non-empty, an entry is negative
+    when its numerator is (denominators are positive), and the numerators
+    scaled by the LCM L of the denominators sum to L exactly when the entries
+    sum to 1.
+    """
 
     x: tuple[Rat, ...]
     y: tuple[Rat, ...]
@@ -126,9 +133,10 @@ class MixedProfile(Record):
         for name, vec in (("x", self.x), ("y", self.y)):
             if not vec:
                 raise ValueError(f"{name} must be non-empty")
-            if any(p < 0 for p in vec):
+            if any(p.numerator < 0 for p in vec):
                 raise ValueError(f"{name} has a negative entry")
-            if sum(vec) != 1:
+            scale = math.lcm(*[p.denominator for p in vec])
+            if sum([p.numerator * (scale // p.denominator) for p in vec]) != scale:
                 raise ValueError(f"{name} does not sum to 1")
 
     def support(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -208,8 +216,16 @@ def make_game(
     return g
 
 
+def check_index(index: object) -> None:
+    """Raise TypeError for a bool strategy index: True equals 1 but is refused, as in rat."""
+    if isinstance(index, bool):
+        raise TypeError("strategy index must be an int, not bool")
+
+
 def check_profile(g: Game, p: PureProfile) -> None:
-    """Raise IndexError unless p indexes into g."""
+    """Raise TypeError for a bool index and IndexError unless p indexes into g."""
+    check_index(p.i)
+    check_index(p.j)
     rows, cols = g.shape
     if not (0 <= p.i < rows and 0 <= p.j < cols):
         raise IndexError(f"profile ({p.i}, {p.j}) out of range for a {rows}x{cols} game")

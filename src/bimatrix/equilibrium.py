@@ -35,30 +35,34 @@ elimination).
 
 Strict dominance is decided by one test, `all(map(gt, vb, va))`: strategy b
 pays strictly more than strategy a against every opponent strategy held.
-Dominance facts apply it to whole strategies, and mixed enumeration uses it,
-through _dominated, to prune supports in two ways:
+Dominance facts apply it to whole strategies, and mixed enumeration uses it
+to prune supports in two ways:
 - Elimination. Supports are drawn only from the strategies that survive
-  iterated strict dominance by pure strategies. A removed strategy pays
-  strictly less than a survivor against every mixture of surviving opponent
-  strategies, so no equilibrium puts weight on it and it pays strictly less
-  than the equilibrium payoff. Systems and off-support checks therefore run
-  on the survivors alone, with the same profiles. Weak dominance can lose
-  equilibria and is not used.
+  iterated strict dominance by pure strategies (_dominated). A removed
+  strategy pays strictly less than a survivor against every mixture of
+  surviving opponent strategies, so no equilibrium puts weight on it and it
+  pays strictly less than the equilibrium payoff. Systems and off-support
+  checks therefore run on the survivors alone, with the same profiles. Weak
+  dominance can lose equilibria and is not used.
 - Exclusion. A support pair is skipped unsolved when one player's support
   holds a strategy that another surviving strategy of that player beats on
   every strategy of the opponent's support (conditional strict dominance,
-  Porter, Nudelman & Shoham 2008); _beaten tabulates this once per game
-  for every opponent support. Each strategy of the opponent's support has
-  positive weight, so the beaten strategy pays strictly less against the
-  opponent's mixture, and the player's own system rejects the pair: with
-  the better strategy in the support the two cannot tie, without it that
-  strategy gains off-support. At size 1 the tables are the whole test:
-  against the opponent's one strategy t, a strategy is beaten exactly when
-  another survivor pays more at t, which is the off-support check. At size 2
-  the sign test above sharpens this to weak conditional dominance: a pair is
-  skipped when one support strategy pays at least as much as the other on
-  both opponent strategies, since a zero or a shared sign of d_t and d_v
-  rejects it.
+  Porter, Nudelman & Shoham 2008); _beaten tabulates this once per game for
+  every opponent support, of every width. It compares each ordered pair
+  (a, b) of the player's survivors once: the opponent strategies where b
+  pays more than a form the win mask, b beats a on exactly its nonempty
+  subsets, and a is marked on those alone, for a sum of 2^|wins| updates
+  over the pairs instead of a pass over every opponent mask. Each strategy
+  of the opponent's support has positive weight, so the beaten strategy pays
+  strictly less against the opponent's mixture, and the player's own system
+  rejects the pair: with the better strategy in the support the two cannot
+  tie, without it that strategy gains off-support. At size 1 the tables are
+  the whole test: against the opponent's one strategy t, a strategy is
+  beaten exactly when another survivor pays more at t, which is the
+  off-support check. At size 2 the sign test above sharpens this to weak
+  conditional dominance: a pair is skipped when one support strategy pays at
+  least as much as the other on both opponent strategies, since a zero or a
+  shared sign of d_t and d_v rejects it.
 Either way the list and its order are those of enumerating every support:
 reduced masks map monotonically to the original ones.
 
@@ -77,7 +81,9 @@ from fractions import Fraction
 from operator import gt, lt, mul
 from typing import Iterator, Literal, Sequence
 
-from .core import Game, MixedProfile, Player, PureProfile, Rat, Record, check_player, check_profile
+from .core import (
+    Game, MixedProfile, Player, PureProfile, Rat, Record, check_index, check_player, check_profile,
+)
 
 Mode = Literal["strict", "weak"]
 IntMatrix = Sequence[Sequence[int]]
@@ -128,6 +134,7 @@ class EquilibriumReport(Record):
 def best_responses(g: Game, player: Player, opponent_choice: int) -> frozenset[int]:
     """The argmax set of the player's payoffs against a fixed opponent strategy."""
     check_player(player)
+    check_index(opponent_choice)
     rows, cols = g.shape
     if player == 1:
         if not 0 <= opponent_choice < cols:
@@ -269,15 +276,23 @@ def _dominated(vectors: Sequence[Sequence[int]]) -> list[bool]:
     return [any(all(map(gt, vb, va)) for vb in vectors) for va in vectors]
 
 
-def _beaten(u: IntMatrix, size: int) -> list[int]:
-    """Per mask over u's columns of at most `size` bits (wider ones map to 0),
-    the mask over its rows of those another row beats on every masked column."""
+def _beaten(u: IntMatrix) -> list[int]:
+    """Per mask over u's columns, the mask over its rows of those another row
+    beats on every masked column.
+
+    Row b beats row a on a mask exactly when the mask lies inside wins, the
+    columns where b pays more than a, so bit a is set on every nonempty
+    subset of wins, and on no other mask, for each ordered pair (a, b).
+    """
     table = [0] * (1 << len(u[0]))
-    for mask in range(1, len(table)):
-        if mask.bit_count() <= size:
-            support = _bits(mask)
-            dominated = _dominated([[row[t] for t in support] for row in u])
-            table[mask] = sum(1 << k for k, out in enumerate(dominated) if out)
+    column_bits = [1 << t for t in range(len(u[0]))]
+    for a, va in enumerate(u):
+        row_bit = 1 << a
+        for vb in u:
+            wins = sub = sum([bit for bit, x, y in zip(column_bits, va, vb) if y > x])
+            while sub:
+                table[sub] |= row_bit
+                sub = (sub - 1) & wins
     return table
 
 
@@ -375,7 +390,7 @@ def _enumerate_mixed(u1: IntMatrix, u2: IntMatrix) -> list[MixedProfile]:
     v1 = [[u1[i][j] for j in cols] for i in rows]
     v2 = [[u2[i][j] for i in rows] for j in cols]
     size = min(len(rows), len(cols))
-    beaten_rows, beaten_cols = _beaten(v1, size), _beaten(v2, size)
+    beaten_rows, beaten_cols = _beaten(v1), _beaten(v2)
     found: list[MixedProfile] = []
     for mask1 in range(1, 1 << len(rows)):
         if mask1.bit_count() > size:

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bimatrix.core import (
@@ -127,6 +127,13 @@ class TestPayoff:
         with pytest.raises(ValueError, match="player must be 1 or 2"):
             payoff(classical_pd(), True, PureProfile(0, 0))  # type: ignore[arg-type]
 
+    def test_bool_strategy_index_refused(self):
+        # True == 1 and False == 0, so an index test alone would read cell (1, 0).
+        with pytest.raises(TypeError, match="strategy index must be an int, not bool"):
+            payoff(classical_pd(), 1, PureProfile(True, False))
+        with pytest.raises(TypeError, match="strategy index must be an int, not bool"):
+            payoff(classical_pd(), 2, PureProfile(0, True))
+
     def test_is_pure_function(self):
         g = classical_pd()
         first = payoff(g, 1, PureProfile(0, 1))
@@ -189,6 +196,50 @@ class TestProfiles:
     def test_mixed_profile_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             MixedProfile((Fraction(3, 2), Fraction(-1, 2)), (Fraction(1),))
+
+    @settings(deadline=None, max_examples=400)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-2, 3),
+                st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+            ),
+            max_size=5,
+        ).flatmap(
+            # Mostly vectors that sum to 1, with a last entry that closes the
+            # gap to 1, or misses it by a tiny amount.
+            lambda head: st.sampled_from(
+                [
+                    head,
+                    head + [1 - sum(head, Fraction(0))],
+                    head + [1 - sum(head, Fraction(0)) + Fraction(1, 10**30)],
+                    head + [1 - sum(head, Fraction(0)) - Fraction(1, 10**30)],
+                ]
+            )
+        ),
+        st.sampled_from([(1,), (Fraction(1, 3), Fraction(2, 3))]),
+    )
+    @example([Fraction(3, 2), Fraction(-1, 2)], (1,))
+    @example([Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**30)], (1,))
+    @example([Fraction(1, 10**6), Fraction(999999, 10**6)], (1,))
+    @example([], (1,))
+    def test_integer_checks_match_fraction_predicate(self, x, y):
+        """MixedProfile accepts exactly the vectors that are non-empty, have
+        no entry below 0 and sum to 1 as Fractions, with the same messages."""
+        if not x:
+            expected = "x must be non-empty"
+        elif any(p < 0 for p in x):
+            expected = "x has a negative entry"
+        elif sum(x, Fraction(0)) != 1:
+            expected = "x does not sum to 1"
+        else:
+            assert MixedProfile(tuple(x), y).x == tuple(map(Fraction, x))
+            assert MixedProfile(y, tuple(x)).y == tuple(map(Fraction, x))
+            return
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            MixedProfile(tuple(x), y)
+        with pytest.raises(ValueError, match=f"^{expected.replace('x', 'y', 1)}$"):
+            MixedProfile(y, tuple(x))
 
     def test_mixed_profile_support(self):
         m = MixedProfile((Fraction(1, 2), Fraction(0), Fraction(1, 2)), (Fraction(1),))

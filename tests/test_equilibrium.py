@@ -89,6 +89,18 @@ class TestBestResponses:
         with pytest.raises(ValueError, match="player must be 1 or 2"):
             best_responses(classical_pd(), True, 0)  # type: ignore[arg-type]
 
+    def test_bool_strategy_index_refused(self):
+        # True == 1, so an index test alone would answer for column 1.
+        with pytest.raises(TypeError, match="strategy index must be an int, not bool"):
+            best_responses(classical_pd(), 1, True)  # type: ignore[arg-type]
+        with pytest.raises(TypeError, match="strategy index must be an int, not bool"):
+            best_responses(classical_pd(), 2, False)  # type: ignore[arg-type]
+        for p in (PureProfile(True, 0), PureProfile(0, False)):
+            with pytest.raises(TypeError, match="strategy index must be an int, not bool"):
+                is_nash(classical_pd(), p)
+            with pytest.raises(TypeError, match="strategy index must be an int, not bool"):
+                is_strict(classical_pd(), p)
+
     def test_bounds_checked(self):
         with pytest.raises(IndexError):
             best_responses(classical_pd(), 1, 2)
@@ -870,6 +882,39 @@ class TestRuledOut:
         assert reference_support_enumeration(g) == (expected, True)
         assert (list(report.mixed), report.degenerate) == (expected, True)
         assert report.pure == (PureProfile(0, 0), PureProfile(1, 1))
+
+
+def _matrices(values):
+    """k x n integer matrices, k and n in 1..5, with entries from `values`."""
+    return st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda shape: st.lists(
+            st.lists(values, min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0]
+        )
+    )
+
+
+class TestBeaten:
+    """_beaten against its definition, at every mask width."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(u=st.one_of(_matrices(st.sampled_from([-1, 0, 1])), _matrices(st.integers(-3, 3))))
+    # Twin rows, and a row that another beats on some columns only.
+    @example(u=[[1, 0, -1], [1, 0, -1]])
+    @example(u=[[0, 0, 0], [1, 1, -1], [-1, 1, 1]])
+    def test_matches_definition(self, u):
+        """Bit a of table[mask] is set exactly when another row is strictly
+        greater than row a on every masked column."""
+        table = equilibrium._beaten(u)
+        n = len(u[0])
+        assert len(table) == 1 << n and table[0] == 0
+        for mask in range(1, 1 << n):
+            columns = [t for t in range(n) if mask >> t & 1]
+            expected = sum(
+                1 << a
+                for a, va in enumerate(u)
+                if any(all(vb[t] > va[t] for t in columns) for vb in u)
+            )
+            assert table[mask] == expected, (mask, columns)
 
 
 class TestDominanceReduction:
