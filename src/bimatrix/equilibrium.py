@@ -33,10 +33,11 @@ c divides and updates only columns c..n, since the pivot row is zero left
 of column c. Intended for small games (at most ~7 strategies per side after
 elimination).
 
-Strict dominance is decided by one test, `all(map(gt, vb, va))`: strategy b
-pays strictly more than strategy a against every opponent strategy held.
-Dominance facts apply it to whole strategies, and mixed enumeration uses it
-to prune supports in two ways:
+Strict dominance is one relation: strategy b pays strictly more than
+strategy a against every opponent strategy held. Dominance facts and
+elimination decide it by one test, `all(map(gt, vb, va))`, and the
+exclusion tables read it off win masks. Mixed enumeration uses it to prune
+supports in two ways:
 - Elimination. Supports are drawn only from the strategies that survive
   iterated strict dominance by pure strategies (_dominated). A removed
   strategy pays strictly less than a survivor against every mixture of
@@ -66,11 +67,15 @@ to prune supports in two ways:
 Either way the list and its order are those of enumerating every support:
 reduced masks map monotonically to the original ones.
 
-A reported equilibrium is degenerate when a strategy off its support is a
-best reply to the opponent's mixture (von Stengel, Handbook of Game Theory
+Strictness and degeneracy come from one rule, the best-reply tie count:
+against the opponent's strategy or integer-scaled mixture, count the
+player's pure strategies that tie for best. A pure equilibrium is strict
+when both players' counts are 1 (_pure_profiles, and is_strict through
+best_responses). A reported equilibrium is degenerate when some player's
+count exceeds that player's own support size: a strategy off its support is
+a best reply to the opponent's mixture (von Stengel, Handbook of Game Theory
 vol. 3, 2002). _tied decides this after the search, from each profile and
-the whole game's integer payoffs; a removed strategy pays strictly less, so
-it never ties.
+the whole game's integer payoffs; a removed strategy never ties.
 """
 
 from __future__ import annotations
@@ -110,11 +115,12 @@ class EquilibriumReport(Record):
     """Everything the solver found for one game.
 
     Sections that were not requested are None; `strict` is parallel to `pure`
-    and marks which pure equilibria are strict (unique best responses both
-    ways). `degenerate` is set when some reported mixed profile is degenerate:
-    a strategy off its support is a best reply (see the module docstring).
-    That signals a possible continuum of equilibria beyond the reported
-    vertices.
+    and marks which pure equilibria are strict: each player's strategy is the
+    only one that ties for best. `degenerate` is set when some reported mixed
+    profile is degenerate: for some player more strategies tie for best than
+    that player's support holds, so one off the support is a best reply (see
+    the module docstring). That signals a possible continuum of equilibria
+    beyond the reported vertices.
     """
 
     labels1: tuple[str, ...]
@@ -154,6 +160,12 @@ def is_nash(g: Game, p: PureProfile) -> bool:
     return p.i in best_responses(g, 1, p.j) and p.j in best_responses(g, 2, p.i)
 
 
+def is_strict(g: Game, p: PureProfile) -> bool:
+    """True iff p is an equilibrium and both best-response sets are singletons."""
+    check_profile(g, p)
+    return best_responses(g, 1, p.j) == {p.i} and best_responses(g, 2, p.i) == {p.j}
+
+
 def _integer_payoffs(g: Game) -> tuple[list[list[int]], list[list[int]]]:
     """Both matrices times the LCM of all their denominators, which keeps every comparison."""
     scale = math.lcm(*[v.denominator for u in (g.u1, g.u2) for row in u for v in row])
@@ -161,31 +173,15 @@ def _integer_payoffs(g: Game) -> tuple[list[list[int]], list[list[int]]]:
     return u1, u2
 
 
-def _strict_at(u1: Sequence[Sequence], u2: Sequence[Sequence], i: int, j: int) -> bool:
-    """True iff u1[i][j] beats every other payoff in its column of u1 and
-    u2[i][j] every other payoff in its row of u2.
-
-    That is a strict equilibrium: both best-response sets are singletons. It
-    is exact on Fraction payoffs and on _integer_payoffs alike.
-    """
-    v1, v2 = u1[i][j], u2[i][j]
-    return all(row[j] < v1 for k, row in enumerate(u1) if k != i) and all(
-        v < v2 for k, v in enumerate(u2[i]) if k != j
-    )
-
-
-def is_strict(g: Game, p: PureProfile) -> bool:
-    """True iff p is an equilibrium and both best-response sets are singletons."""
-    check_profile(g, p)
-    return _strict_at(g.u1, g.u2, p.i, p.j)
-
-
-def _pure_profiles(u1: IntMatrix, u2: IntMatrix) -> list[PureProfile]:
-    """The pure equilibria of integer payoffs, in lexicographic order, in O(mn)."""
-    col_best = [max(column) for column in zip(*u1)]
+def _pure_profiles(u1: IntMatrix, u2: IntMatrix) -> list[tuple[PureProfile, bool]]:
+    """The pure equilibria of integer payoffs, in lexicographic order, in
+    O(mn), each with its strict flag: its payoff occurs once in its column of
+    u1 and once in its row of u2, so each player has one best reply."""
+    columns = list(zip(*u1))
+    col_best = [max(column) for column in columns]
     row_best = [max(row) for row in u2]
     return [
-        PureProfile(i, j)
+        (PureProfile(i, j), columns[j].count(v1) == row2.count(v2) == 1)
         for i, (row1, row2) in enumerate(zip(u1, u2))
         for j, (v1, v2) in enumerate(zip(row1, row2))
         if v1 == col_best[j] and v2 == row_best[i]
@@ -195,7 +191,7 @@ def _pure_profiles(u1: IntMatrix, u2: IntMatrix) -> list[PureProfile]:
 def pure_equilibria(g: Game) -> list[PureProfile]:
     """All pure equilibria, in lexicographic (row, column) order, in O(mn)."""
     u1, u2 = _integer_payoffs(g)
-    return _pure_profiles(u1, u2)
+    return [p for p, _ in _pure_profiles(u1, u2)]
 
 
 def _dominance_pairs(u1: IntMatrix, u2: IntMatrix) -> Iterator[tuple[Player, int, int, Mode]]:
@@ -437,20 +433,16 @@ def _tied(u1: IntMatrix, u2: IntMatrix, m: MixedProfile) -> bool:
     """True iff a strategy off the equilibrium m's support is a best reply
     to the opponent's mixture, on the whole game's integer payoffs.
 
-    A pure profile is tied exactly when it is not strict. Otherwise both
+    Each player's support strategies all tie for best, so another one ties
+    exactly when more strategies tie than that player's support holds. Both
     mixtures are scaled to integers by the LCM of their denominators, which
-    keeps the order of the pure strategies' payoffs against them; the
-    support strategies, `size` for each player, all tie for best, so any
-    further tie is off the support.
+    keeps the order of the pure strategies' payoffs against them.
     """
-    size = sum(map(bool, m.x))
-    if size == 1:
-        return not _strict_at(u1, u2, m.x.index(1), m.y.index(1))
     scale = math.lcm(*[p.denominator for p in (*m.x, *m.y)])
     x, y = ([p.numerator * (scale // p.denominator) for p in w] for w in (m.x, m.y))
     pays1 = [sum(map(mul, row, y)) for row in u1]
     pays2 = [sum(map(mul, column, x)) for column in zip(*u2)]
-    return pays1.count(max(pays1)) > size or pays2.count(max(pays2)) > size
+    return pays1.count(max(pays1)) > sum(map(bool, x)) or pays2.count(max(pays2)) > sum(map(bool, y))
 
 
 def analyze(
@@ -465,8 +457,9 @@ def analyze(
     pure_found: tuple[PureProfile, ...] | None = None
     strict_flags: tuple[bool, ...] | None = None
     if pure:
-        pure_found = tuple(_pure_profiles(u1, u2))
-        strict_flags = tuple(_strict_at(u1, u2, p.i, p.j) for p in pure_found)
+        found = _pure_profiles(u1, u2)
+        pure_found = tuple(p for p, _ in found)
+        strict_flags = tuple(strict for _, strict in found)
     mixed_found: tuple[MixedProfile, ...] | None = None
     degenerate: bool | None = None
     if mixed:

@@ -6,8 +6,9 @@ which imports nothing from the library and is also the benchmark's answer
 check. The oracles here are the ones the checker lacks, and they too avoid
 the library's own solver paths: the reference support enumeration has its
 own elimination and no dominance step, the reference extreme equilibria come
-from vertex enumeration of the best response polytopes, and the reference
-dominance elimination compares the Fraction payoffs one at a time. The game
+from vertex enumeration of the best response polytopes, the equilibrium
+index takes its own Fraction determinant, and the reference dominance
+elimination compares the Fraction payoffs one at a time. The game
 documents that more than one test module pins are written out here by hand,
 not by serialize_game.
 """
@@ -210,6 +211,42 @@ def reference_extreme_equilibria(g: Game) -> set[MixedProfile]:
             if labelled and any(x) and any(y):
                 found.add(MixedProfile([p / sum(x) for p in x], [p / sum(y) for p in y]))
     return found
+
+
+def _det_sign(m: list[list[Fraction]]) -> int:
+    """The sign of a square matrix's determinant, by Gaussian elimination over
+    Fraction: the product of the pivots, negated once per row swap."""
+    m = [list(row) for row in m]
+    sign = 1
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        if m[c][c] < 0:
+            sign = -sign
+        for r in range(c + 1, len(m)):
+            factor = m[r][c] / m[c][c]
+            m[r] = [v - factor * w for v, w in zip(m[r], m[c])]
+    return sign
+
+
+def equilibrium_index(g: Game, m: MixedProfile) -> int:
+    """Shapley's index of the equilibrium m of a nondegenerate game.
+
+    With both matrices shifted by one constant until every payoff is at
+    least 1, and I, J the supports of m, of size k each, the index is
+    (-1)^(k+1) sign det A_IJ sign det B_IJ (Shapley, "A note on the
+    Lemke-Howson algorithm", 1974). Over all equilibria of a nondegenerate
+    game the indices sum to 1, so leaving out one equilibrium, or any odd
+    number, breaks the sum.
+    """
+    shift = max(0, 1 - min(v for u in (g.u1, g.u2) for row in u for v in row))
+    rows, cols = m.support()
+    signs = [_det_sign([[u[i][j] + shift for j in cols] for i in rows]) for u in (g.u1, g.u2)]
+    return (-1) ** (len(rows) + 1) * signs[0] * signs[1]
 
 
 def reference_undominated(g: Game) -> tuple[list[int], list[int]]:

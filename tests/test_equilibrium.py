@@ -7,7 +7,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bimatrix.core import MixedProfile, PureProfile, make_game
@@ -33,6 +33,7 @@ from helpers import (
     CLAIMS_DOC,
     G5_DOC,
     _solve_by_substitution,
+    equilibrium_index,
     random_game,
     random_rat,
     reference_extreme_equilibria,
@@ -106,6 +107,13 @@ class TestBestResponses:
             best_responses(classical_pd(), 1, 2)
         with pytest.raises(IndexError):
             best_responses(classical_pd(), 2, -1)
+
+    @pytest.mark.parametrize("check", [is_nash, is_strict])
+    @pytest.mark.parametrize("i, j", [(2, 0), (0, -1)])
+    def test_profile_out_of_range_names_the_profile(self, check, i, j):
+        # check_profile's message, not best_responses' "column 2 out of range".
+        with pytest.raises(IndexError, match=rf"^profile \({i}, {j}\) out of range for a 2x2 game$"):
+            check(classical_pd(), PureProfile(i, j))
 
 
 class TestPureNash:
@@ -469,6 +477,16 @@ def _games_over(draw, values, max_side=4):
     return _int_game(draw(matrix), draw(matrix))
 
 
+def _off_support_best_reply(g, m) -> bool:
+    """The degenerate flag's definition, scanned on the Fractions: a strategy
+    off m's support is a best reply to the other player's mixture."""
+    for own, other, u in ((m.x, m.y, g.u1), (m.y, m.x, tuple(zip(*g.u2)))):
+        pays = [sum(map(mul, row, other)) for row in u]
+        if any(p == 0 and v == max(pays) for p, v in zip(own, pays)):
+            return True
+    return False
+
+
 class TestSupportEnumerationOracle:
     """The mixed list, its order and the degenerate flag against
     helpers.reference_support_enumeration, which shares no code with the
@@ -485,14 +503,7 @@ class TestSupportEnumerationOracle:
         assert mixed_equilibria(g) == expected
         report = analyze(g)
         assert report.degenerate is tie
-        # The definition, scanned on the Fractions: a strategy off some
-        # reported profile's support is a best reply to the other mixture.
-        tied = []
-        for m in report.mixed:
-            for own, other, u in ((m.x, m.y, g.u1), (m.y, m.x, tuple(zip(*g.u2)))):
-                pays = [sum(map(mul, row, other)) for row in u]
-                tied += [p == 0 and v == max(pays) for p, v in zip(own, pays)]
-        assert report.degenerate is any(tied)
+        assert report.degenerate is any(_off_support_best_reply(g, m) for m in report.mixed)
 
     @settings(deadline=None, max_examples=300)
     @given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4))
@@ -583,6 +594,71 @@ class TestExtremeEquilibriumOracle:
             u1, u2 = ([[rng.randint(-99, 99) for _ in range(cols)] for _ in range(rows)] for _ in "12")
             general += self.check(_int_game(u1, u2))
         assert general >= 30
+
+
+class TestTiedCountsEachSupport:
+    """_tied compares each player's best-reply tie count with that player's
+    own support size, so it also decides equilibria whose supports differ in
+    size, which support enumeration never reports but complete enumeration
+    does."""
+
+    @staticmethod
+    def tied(u1, u2, x, y) -> bool:
+        u1, u2 = equilibrium._integer_payoffs(_int_game(u1, u2))
+        return equilibrium._tied(u1, u2, MixedProfile(_vector(x), _vector(y)))
+
+    @pytest.mark.parametrize("x, y", TestMixedEquilibria.MISSED_PROFILES)
+    def test_two_rows_against_one_column(self, x, y):
+        # Two columns tie against x, and y holds one column.
+        assert self.tied(*TestMixedEquilibria.MISSED_GAP, x, y) is True
+
+    def test_one_row_against_two_columns(self):
+        # Both rows tie against y, and x holds one row.
+        assert self.tied([[0, 1], [1, 0]], [[0, 0], [0, 0]], "0 1", "1/2 1/2") is True
+
+    def test_two_rows_against_one_column_transposed(self):
+        assert self.tied([[0, 0], [0, 0]], [[0, 1], [1, 0]], "1/2 1/2", "0 1") is True
+
+    @settings(deadline=None, max_examples=300)
+    @given(g=_games_over((0, 1), max_side=3))
+    def test_matches_definition_on_every_extreme_equilibrium(self, g):
+        u1, u2 = equilibrium._integer_payoffs(g)
+        for m in reference_extreme_equilibria(g):
+            assert equilibrium._tied(u1, u2, m) is _off_support_best_reply(g, m)
+
+
+class TestIndexSum:
+    """Completeness where the vertex oracle is too slow: on games in general
+    position up to 6x6 (checker.in_general_position), the equilibrium
+    indices of mixed_equilibria (helpers.equilibrium_index) sum to 1. Each
+    index is +1 or -1, so one missing equilibrium breaks the sum."""
+
+    @staticmethod
+    def check(g, found):
+        assert sum(equilibrium_index(g, m) for m in found) == 1
+
+    def test_coordination_game_indices(self):
+        # The two pure equilibria have index +1 and the mixed one -1.
+        g = coordination()
+        assert [equilibrium_index(g, m) for m in mixed_equilibria(g)] == [1, 1, -1]
+
+    def test_leaving_out_any_equilibrium_fails(self):
+        g = coordination()
+        found = mixed_equilibria(g)
+        self.check(g, found)
+        for k in range(len(found)):
+            with pytest.raises(AssertionError):
+                self.check(g, found[:k] + found[k + 1:])
+
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), cols=st.integers(1, 6))
+    def test_indices_sum_to_one_in_general_position(self, seed, rows, cols):
+        # Payoffs from [-99, 99] are seldom tied, so most draws are kept.
+        rng = random.Random(seed)
+        u1, u2 = ([[rng.randint(-99, 99) for _ in range(cols)] for _ in range(rows)] for _ in "12")
+        g = _int_game(u1, u2)
+        assume(checker.in_general_position(g.u1, g.u2))
+        self.check(g, mixed_equilibria(g))
 
 
 class TestEliminationOracle:
