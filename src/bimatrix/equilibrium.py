@@ -28,10 +28,11 @@ the sign test already rejects. The paper's silence strategy is such a twin
 of D at w = 0 and of C at w = 1. Both tests live in _ruled_out, and both
 players' integer tests run before either player's system is built, so a
 pair that player 2's integers rule out builds no Fraction for player 1
-either. The systems left are solved by Gauss-Jordan elimination whose step
-c divides and updates only columns c..n, since the pivot row is zero left
-of column c. Intended for small games (at most ~7 strategies per side after
-elimination).
+either. The systems left are solved by Gauss-Jordan elimination on a
+tableau that loses its first column at every step: once a column is
+eliminated no later step reads it, so its pivot 1 and the zeros under and
+over it are never written. Intended for small games (at most ~7 strategies
+per side after elimination).
 
 Strict dominance is one relation: strategy b pays strictly more than
 strategy a against every opponent strategy held. Dominance facts and
@@ -242,25 +243,31 @@ _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 def _solve_square(a: list[list[Rat | int]], b: list[Rat]) -> list[Rat] | None:
     """Gauss-Jordan over Fraction: the solution of square a z = b, or None if a is singular.
 
-    Step c divides and updates columns c..n alone: left of column c the
-    pivot row is all zeros, so the other rows would only subtract zeros
-    there.
+    The tableau shrinks by one column per step. At step c each row holds
+    columns c..n of the augmented system, and rows above c are pivot rows.
+    The pivot row becomes its tail divided by the pivot, every other row its
+    tail minus its first entry times that, so after n steps each row holds
+    its unknown alone. The pivot's 1 and the zeros of the column it clears
+    are never computed, since no later step reads them.
     """
     n = len(a)
-    aug = [row + [v] for row, v in zip(a, b)]
+    rows = [[*row, v] for row, v in zip(a, b)]
     for c in range(n):
-        pivot = next((k for k in range(c, n) if aug[k][c] != 0), None)
+        pivot = next((k for k in range(c, n) if rows[k][0] != 0), None)
         if pivot is None:
             return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        row = aug[c]
-        inv = row[c]
-        row[c:] = tail = [v / inv for v in row[c:]]
-        for other in aug:
-            factor = other[c]
-            if factor != 0 and other is not row:
-                other[c:] = [v - factor * w for v, w in zip(other[c:], tail)]
-    return [row[n] for row in aug]
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        head, *tail = rows[c]
+        tail = [v / head for v in tail]
+        for k, row in enumerate(rows):
+            factor = row[0]
+            if k == c:
+                rows[k] = tail
+            elif factor != 0:
+                rows[k] = [v - factor * w for v, w in zip(row[1:], tail)]
+            else:
+                del row[0]
+    return [row[0] for row in rows]
 
 
 def _bits(mask: int) -> tuple[int, ...]:

@@ -783,9 +783,10 @@ def _has_twins(block) -> bool:
 class TestSolveSquare:
     """_solve_square against back substitution, which shares no code with it."""
 
+    # Blocks up to 6x6, a 7x7 system, the largest a 6x6 survivor reaches.
     @settings(deadline=None, max_examples=500)
     @given(
-        block=st.integers(1, 5).flatmap(
+        block=st.integers(1, 6).flatmap(
             lambda k: st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k)
         )
     )
@@ -793,6 +794,13 @@ class TestSolveSquare:
     # swaps in the sum row; and twin rows, a singular system.
     @example(block=[[1, 2], [1, 3]])
     @example(block=[[1, 2], [1, 2]])
+    # Nonsingular systems whose first zero pivot comes at step 2, 3 and 4.
+    @example(block=[[0, 0, 0], [-1, 0, 0], [1, 0, 2]])
+    @example(block=[[0, 3, 0, 0], [1, 0, -1, 0], [-1, 0, 1, -2], [0, 2, 0, -1]])
+    @example(block=[[0, 1, -1, 2, -1], [2, -2, 1, -1, 0], [0, 3, 0, -1, 0], [0, -1, 3, 0, 0], [0, 0, 2, 0, 3]])
+    # No twins and no zero pivot before the last step, where the sum row
+    # clears to zero: columns 0 and 1 add up to twice column 2.
+    @example(block=[[2, 0, 1], [0, 2, 1], [0, 0, 0]])
     def test_matches_substitution_on_indifference_systems(self, block):
         a, b = _indifference_system(block)
         before = [list(row) for row in a]
